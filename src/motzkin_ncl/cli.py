@@ -118,8 +118,18 @@ def cmd_count(args: argparse.Namespace) -> int:
             table = schroder_numbers(args.upto)[0]
         else:
             table = schroder_numbers(args.upto)[1]
-    for _, value in table.items():
-        print(value)
+    # str(int) refuses more than sys.get_int_max_str_digits() digits
+    # (4300 by default since Python 3.11), which S(n) passes near
+    # n = 5600; lift that limit while printing, where there is one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for _, value in table.items():
+            print(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

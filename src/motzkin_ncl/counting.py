@@ -1,22 +1,33 @@
 """Exact counting sequences, as arbitrary-precision integers.
 
-The five sequences and their defining recurrences:
+The five sequences:
 
-* m: (3,2)-Motzkin paths by length:
-  m(0) = 1,  m(n) = 3 m(n-1) + 2 sum_{j} m(j) m(n-2-j).
-* L: large (3,2)-Motzkin paths by length:
-  L(0) = 1,  L(n) = 2 L(n-1) + 2 sum_{j} m(j) L(n-2-j).
-* S: large Schroeder paths by half-length:
-  S(0) = 1,  S(n) = S(n-1) + sum_{k} S(k) S(n-1-k).
-* s: little Schroeder paths by half-length: s(0) = 1, s(n) = S(n)/2.
-* f: noncrossing linked partitions by ground-set size:
-  f(1) = 1,  f(n+1) = L(n).
+* m: (3,2)-Motzkin paths by length.
+* L: large (3,2)-Motzkin paths by length.
+* S: large Schroeder paths by half-length.
+* s: little Schroeder paths by half-length.
+* f: noncrossing linked partitions by ground-set size, starting at 1.
 
-The convolution recurrences come from the functional equations
-M = 1 + 3x M + 2x^2 M^2,  L = 1 + 2x L + 2x^2 M L  and
-S = 1 + x S + x S^2 of the generating functions, checked against their
-closed forms in the test suite.  Numerically L(n) = S(n) = 2 m(n-1) for
-n >= 1.
+Numerically L(n) = S(n) = 2 s(n) = 2 m(n-1) for n >= 1, and
+f(n+1) = L(n), so one sequence determines all five tables.  They are
+built from the holonomic (P-recursive) recurrence of the large
+Schroeder numbers (OEIS A006318),
+
+  (n+1) S(n) = 3(2n-1) S(n-1) - (n-2) S(n-2),  S(0) = 1,  S(1) = 2,
+
+in O(N) big-integer steps, every division checked to be exact.
+
+:func:`verify_identities` checks those identities against a second,
+independent derivation: the convolution recurrences
+
+  m(0) = 1,  m(n) = 3 m(n-1) + 2 sum_{j} m(j) m(n-2-j),
+  L(0) = 1,  L(n) = 2 L(n-1) + 2 sum_{j} m(j) L(n-2-j),
+  S(0) = 1,  S(n) = S(n-1) + sum_{k} S(k) S(n-1-k),
+
+which come from the functional equations M = 1 + 3x M + 2x^2 M^2,
+L = 1 + 2x L + 2x^2 M L and S = 1 + x S + x S^2 of the generating
+functions, checked against their closed forms in the test suite.  They
+cost O(N^2) big-integer products, so only the check uses them.
 """
 
 from __future__ import annotations
@@ -58,12 +69,32 @@ def _require_count(n: int, minimum: int = 0) -> None:
         raise ValueError(f"need an index of at least {minimum}, got {n}")
 
 
-def _motzkin32_values(upto: int) -> list[int]:
-    values = [1]
-    for n in range(1, upto + 1):
-        tail = 2 * sum(values[j] * values[n - 2 - j] for j in range(n - 1))
-        values.append(3 * values[n - 1] + tail)
+_HOLONOMIC = "(n+1) S(n) = 3(2n-1) S(n-1) - (n-2) S(n-2), S(0) = 1, S(1) = 2"
+
+
+def _schroder_values(upto: int) -> list[int]:
+    """S(0)..S(upto) by the holonomic recurrence; a division that leaves
+    a remainder means the build is inconsistent and raises."""
+    values = [1, 2][: upto + 1]
+    for n in range(2, upto + 1):
+        value, rest = divmod(
+            3 * (2 * n - 1) * values[n - 1] - (n - 2) * values[n - 2], n + 1
+        )
+        if rest:
+            raise ArithmeticError(f"S({n}) is not an integer; recurrence broken")
+        values.append(value)
     return values
+
+
+def _halves(large: list[int]) -> list[int]:
+    """S(n) / 2 for 1 <= n < len(large), each halving checked to be exact."""
+    out = []
+    for n in range(1, len(large)):
+        half, rest = divmod(large[n], 2)
+        if rest:
+            raise ArithmeticError(f"S({n}) is odd; halving identity broken")
+        out.append(half)
+    return out
 
 
 def motzkin32_numbers(upto: int) -> SequenceTable:
@@ -72,24 +103,16 @@ def motzkin32_numbers(upto: int) -> SequenceTable:
     return SequenceTable(
         "m",
         0,
-        tuple(_motzkin32_values(upto)),
-        "m(n) = 3 m(n-1) + 2 sum m(j) m(n-2-j)",
+        tuple(_halves(_schroder_values(upto + 1))),
+        f"m(n) = S(n+1) / 2, {_HOLONOMIC}",
     )
 
 
 def large_motzkin_numbers(upto: int) -> SequenceTable:
     """L(0)..L(upto), counting large (3,2)-Motzkin paths by length."""
     _require_count(upto)
-    m = _motzkin32_values(max(upto - 2, 0))
-    values = [1]
-    for n in range(1, upto + 1):
-        tail = 2 * sum(m[j] * values[n - 2 - j] for j in range(n - 1))
-        values.append(2 * values[n - 1] + tail)
     return SequenceTable(
-        "L",
-        0,
-        tuple(values),
-        "L(n) = 2 L(n-1) + 2 sum m(j) L(n-2-j)",
+        "L", 0, tuple(_schroder_values(upto)), f"L(n) = S(n), {_HOLONOMIC}"
     )
 
 
@@ -100,33 +123,55 @@ def schroder_numbers(upto: int) -> tuple[SequenceTable, SequenceTable]:
     mean the build is inconsistent and raises.
     """
     _require_count(upto)
-    large = [1]
-    for n in range(1, upto + 1):
-        conv = sum(large[k] * large[n - 1 - k] for k in range(n))
-        large.append(large[n - 1] + conv)
-    little = [1]
-    for n in range(1, upto + 1):
-        half, rest = divmod(large[n], 2)
-        if rest:
-            raise ArithmeticError(f"S({n}) is odd; halving identity broken")
-        little.append(half)
-    big = SequenceTable(
-        "S", 0, tuple(large), "S(n) = S(n-1) + sum S(k) S(n-1-k)"
+    large = _schroder_values(upto)
+    big = SequenceTable("S", 0, tuple(large), _HOLONOMIC)
+    small = SequenceTable(
+        "s",
+        0,
+        (1, *_halves(large)),
+        f"s(n) = S(n) / 2 for n >= 1, s(0) = 1, {_HOLONOMIC}",
     )
-    small = SequenceTable("s", 0, tuple(little), "s(n) = S(n) / 2 for n >= 1")
     return big, small
 
 
 def ncl_counts(upto: int) -> SequenceTable:
     """f(1)..f(upto), counting noncrossing linked partitions of {1..n}."""
     _require_count(upto, minimum=1)
-    large = large_motzkin_numbers(upto - 1)
     return SequenceTable(
         "f",
         1,
-        tuple(large.values),
-        "f(n+1) = L(n), f(1) = 1",
+        tuple(_schroder_values(upto - 1)),
+        f"f(n+1) = L(n) = S(n), f(1) = 1, {_HOLONOMIC}",
     )
+
+
+# ---------------------------------------------------------------------------
+# the independent side of the identity check: convolution recurrences
+
+
+def _motzkin32_convolution(upto: int) -> list[int]:
+    values = [1]
+    for n in range(1, upto + 1):
+        tail = 2 * sum(values[j] * values[n - 2 - j] for j in range(n - 1))
+        values.append(3 * values[n - 1] + tail)
+    return values
+
+
+def _large_convolution(upto: int, m: list[int]) -> list[int]:
+    """L(0)..L(upto) from m(0)..m(upto - 2)."""
+    values = [1]
+    for n in range(1, upto + 1):
+        tail = 2 * sum(m[j] * values[n - 2 - j] for j in range(n - 1))
+        values.append(2 * values[n - 1] + tail)
+    return values
+
+
+def _schroder_convolution(upto: int) -> list[int]:
+    values = [1]
+    for n in range(1, upto + 1):
+        conv = sum(values[k] * values[n - 1 - k] for k in range(n))
+        values.append(values[n - 1] + conv)
+    return values
 
 
 @dataclass(frozen=True)
@@ -148,11 +193,18 @@ class IdentityReport:
 
 def verify_identities(upto: int) -> IdentityReport:
     """Check the cross-family identities for every 1 <= n <= upto:
-    L(n) = 2 m(n-1),  L(n) = S(n),  S(n) = 2 s(n),  s(n) = m(n-1)."""
+    L(n) = 2 m(n-1),  L(n) = S(n),  S(n) = 2 s(n),  s(n) = m(n-1).
+
+    Each identity compares two separate derivations, so no check can
+    hold by construction.  L(n) = 2 m(n-1) sets the m and L convolutions
+    against each other; the other three set the published tables (the
+    holonomic S and its halves s) against the convolutions.
+    """
     _require_count(upto, minimum=1)
-    m = motzkin32_numbers(upto - 1)
-    large = large_motzkin_numbers(upto)
-    big, small = schroder_numbers(upto)
+    m = _motzkin32_convolution(upto - 1)
+    large = _large_convolution(upto, m)
+    big = _schroder_convolution(upto)
+    holonomic, little = schroder_numbers(upto)
 
     def first_break(predicate) -> int | None:
         for n in range(1, upto + 1):
@@ -162,9 +214,9 @@ def verify_identities(upto: int) -> IdentityReport:
 
     pairs = (
         ("L(n) = 2 m(n-1)", lambda n: large[n] == 2 * m[n - 1]),
-        ("L(n) = S(n)", lambda n: large[n] == big[n]),
-        ("S(n) = 2 s(n)", lambda n: big[n] == 2 * small[n]),
-        ("s(n) = m(n-1)", lambda n: small[n] == m[n - 1]),
+        ("L(n) = S(n)", lambda n: large[n] == holonomic[n]),
+        ("S(n) = 2 s(n)", lambda n: big[n] == 2 * little[n]),
+        ("s(n) = m(n-1)", lambda n: little[n] == m[n - 1]),
     )
     checks = []
     for name, predicate in pairs:

@@ -18,10 +18,10 @@ from .structures import (
     LinkedPartition,
     MotzkinPath,
     SchroderPath,
+    _DELTA,
+    _SCHRODER_DELTA,
     render_partition,
 )
-
-_DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 
 
 def _motzkin_words(length: int, axis_l3: bool) -> Iterator[str]:
@@ -131,7 +131,6 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
 
 
 _SCHRODER_UNITS = {"U": 1, "F": 2, "D": 1}
-_SCHRODER_DELTA = {"U": 1, "F": 0, "D": -1}
 
 
 def _schroder_words(units: int, axis_level: bool) -> Iterator[str]:

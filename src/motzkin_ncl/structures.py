@@ -418,7 +418,7 @@ def parse_partition(text: str) -> LinkedPartition:
         if text[i] != "{":
             raise ParseError("expected '{'", i)
         i += 1
-        block: list[int] = []
+        block: set[int] = set()
         while True:
             label, i = _read_label(text, i)
             if label < 1:
@@ -427,7 +427,7 @@ def parse_partition(text: str) -> LinkedPartition:
                 raise ParseError(
                     f"duplicate label {label} in block", i - len(str(label))
                 )
-            block.append(label)
+            block.add(label)
             if i >= len(text):
                 raise ParseError("unterminated block", i)
             if text[i] == ",":
@@ -438,25 +438,62 @@ def parse_partition(text: str) -> LinkedPartition:
                 break
             raise ParseError("expected ',' or '}'", i)
         blocks.append(sorted(block))
-    n = max(v for block in blocks for v in block)
-    seen = {v for block in blocks for v in block}
-    for v in range(1, n + 1):
-        if v not in seen:
-            raise PartitionError(f"vertex {v} missing; blocks must cover 1..{n}")
+    seen = sorted({v for block in blocks for v in block})
+    n = seen[-1]
+    if len(seen) < n:
+        missing = next(v for v, w in enumerate(seen, 1) if v != w)
+        raise PartitionError(f"vertex {missing} missing; blocks must cover 1..{n}")
     ordered = sorted(tuple(b) for b in blocks)
-    for idx, block_a in enumerate(ordered):
-        for block_b in ordered[idx + 1 :]:
-            if not _nearly_disjoint(block_a, block_b):
-                raise NearlyDisjointViolation(block_a, block_b)
-    arcs = []
-    rights = set()
-    for block in ordered:
-        for v in block[1:]:
-            if v in rights:  # unreachable past the nearly-disjoint check
-                raise InDegree(v)
-            rights.add(v)
-            arcs.append(Arc(block[0], v))
-    return LinkedPartition(n, frozenset(arcs))
+    # the family is nearly disjoint exactly when no vertex is the minimum
+    # of two blocks or a non-minimum (an arc's right end) of two, and no
+    # singleton's vertex is a non-minimum elsewhere
+    rights = [v for block in ordered for v in block[1:]]
+    right_set = set(rights)
+    if (
+        len({block[0] for block in ordered}) < len(ordered)
+        or len(right_set) < len(rights)
+        or any(len(block) == 1 and block[0] in right_set for block in ordered)
+    ):
+        first, second = _first_clash(ordered)
+        raise NearlyDisjointViolation(ordered[first], ordered[second])
+    return LinkedPartition(
+        n, frozenset(Arc(block[0], v) for block in ordered for v in block[1:])
+    )
+
+
+def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[int, int]:
+    """Indices i < j of the first pair of ``ordered`` that the pairwise
+    scan ``not _nearly_disjoint(ordered[i], ordered[j])`` would meet.
+
+    Two blocks clash at a shared vertex unless it is the minimum of one,
+    that one not a singleton, and a non-minimum of the other.  A vertex's
+    own scan stops within O(holders) pairs: past a passing (h0, h1), each
+    (h0, hj) passes only while hj has h1's role, and (h1, h2) clashes.
+    """
+    holders: dict[int, list[int]] = {}
+    for idx, block in enumerate(ordered):
+        for v in block:
+            holders.setdefault(v, []).append(idx)
+
+    def role(idx: int, v: int) -> str:
+        block = ordered[idx]
+        if block[0] != v:
+            return "inner"
+        return "min" if len(block) > 1 else "singleton"
+
+    firsts = []
+    for v, idxs in holders.items():
+        roles = [role(idx, v) for idx in idxs]
+        clashes = (
+            (idxs[k], idxs[j])
+            for k in range(len(idxs))
+            for j in range(k + 1, len(idxs))
+            if {roles[k], roles[j]} != {"min", "inner"}
+        )
+        first = next(clashes, None)
+        if first is not None:
+            firsts.append(first)
+    return min(firsts)
 
 
 def _nearly_disjoint(block_a: tuple[int, ...], block_b: tuple[int, ...]) -> bool:
@@ -477,12 +514,21 @@ def validate_ncl(p: LinkedPartition) -> LinkedPartition:
         if b in rights:
             raise InDegree(b)
         rights.add(b)
-    ordered = sorted(p.arcs)
-    for idx, first in enumerate(ordered):
-        for second in ordered[idx + 1 :]:
-            if first.left < second.left < first.right < second.right:
-                raise CrossingArcs(first, second)
+    # sweep arcs by left endpoint, longest first: the arcs still open
+    # over the current left endpoint are nested, innermost on top, so a
+    # new arc crosses one of them exactly when it outlasts the top one
+    open_arcs: list[Arc] = []
+    for arc in sorted(p.arcs, key=_outer_first):
+        while open_arcs and open_arcs[-1].right <= arc.left:
+            open_arcs.pop()
+        if open_arcs and open_arcs[-1].right < arc.right:
+            raise CrossingArcs(open_arcs[-1], arc)
+        open_arcs.append(arc)
     return p
+
+
+def _outer_first(arc: Arc) -> tuple[int, int]:
+    return arc.left, -arc.right
 
 
 def validate_ncl_blockwise(p: LinkedPartition) -> LinkedPartition:
@@ -576,14 +622,23 @@ def _partition_art(p: LinkedPartition) -> str:
     label_row = " ".join(labels)
     if not p.arcs:
         return label_row
-    ordered = sorted(p.arcs)
+    # an arc's depth is the number of arcs containing it; taken longest
+    # first by left endpoint, those are the earlier arcs that end no
+    # sooner, counted by a Fenwick tree over right endpoints
+    ordered = sorted(p.arcs, key=_outer_first)
+    ends = [0] * (p.n + 1)
     depth = {}
-    for arc in ordered:
-        depth[arc] = sum(
-            1
-            for other in ordered
-            if other != arc and other.left <= arc.left and arc.right <= other.right
-        )
+    for seen, arc in enumerate(ordered):
+        shorter = 0
+        i = arc.right - 1
+        while i:
+            shorter += ends[i]
+            i &= i - 1
+        depth[arc] = seen - shorter
+        i = arc.right
+        while i <= p.n:
+            ends[i] += 1
+            i += i & -i
     levels = max(depth.values()) + 1
     grid = [[" "] * width for _ in range(levels)]
     for arc in ordered:  # uprights first, caps after so caps win

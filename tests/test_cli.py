@@ -3,9 +3,11 @@
 import io
 import json
 import sys
+from decimal import Decimal
 
 import pytest
 
+from motzkin_ncl import schroder_numbers
 from motzkin_ncl.cli import main
 
 
@@ -44,6 +46,16 @@ class TestCount:
     def test_negative_upto(self, capsys):
         code, _, err = run(capsys, "count", "--seq", "m", "--upto", "-3")
         assert code == 1 and err
+
+    def test_terms_past_the_int_to_str_digit_limit(self, capsys):
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        before = digit_limit()
+        code, out, err = run(capsys, "count", "--seq", "S", "--upto", "6000")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 6001 and len(lines[-1]) > 4300
+        assert Decimal(lines[-1]) == Decimal(schroder_numbers(6000)[0][6000])
+        assert digit_limit() == before
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

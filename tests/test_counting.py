@@ -1,5 +1,7 @@
 """Exact counting sequences, their recurrences, and cross-identities."""
 
+import time
+
 import pytest
 
 from motzkin_ncl import (
@@ -10,6 +12,7 @@ from motzkin_ncl import (
     schroder_numbers,
     verify_identities,
 )
+from motzkin_ncl import counting
 
 # frozen reference values, computed independently of the recurrences:
 # the path counts were confirmed by exhausting the generators for small n,
@@ -125,3 +128,74 @@ class TestSeriesCrossCheck:
         s_series = sympy.series(s_closed, x, 0, terms).removeO()
         s_coeffs = [int(s_series.coeff(x, k)) for k in range(terms)]
         assert tuple(s_coeffs) == schroder_numbers(terms - 1)[0].values
+
+
+def _convolution_tables(upto):
+    """m, L and S to ``upto`` by the functional-equation convolutions,
+    written out here independently of the library."""
+    m, large, big = [1], [1], [1]
+    for n in range(1, upto + 1):
+        m.append(3 * m[-1] + 2 * sum(m[j] * m[n - 2 - j] for j in range(n - 1)))
+        large.append(
+            2 * large[-1] + 2 * sum(m[j] * large[n - 2 - j] for j in range(n - 1))
+        )
+        big.append(big[-1] + sum(big[k] * big[n - 1 - k] for k in range(n)))
+    return m, large, big
+
+
+class TestHolonomicTables:
+    def test_every_table_matches_the_convolutions_to_300(self):
+        m, large, big = _convolution_tables(300)
+        assert motzkin32_numbers(300).values == tuple(m)
+        assert large_motzkin_numbers(300).values == tuple(large)
+        schroder, little = schroder_numbers(300)
+        assert schroder.values == tuple(big)
+        assert little.values == (1, *(v // 2 for v in big[1:]))
+        assert ncl_counts(301).values == tuple(large)
+
+    def test_twenty_thousand_terms_are_fast_and_satisfy_the_recurrence(self):
+        started = time.perf_counter()
+        table = large_motzkin_numbers(20000)
+        assert time.perf_counter() - started < 10
+        for n in (19998, 19999, 20000):
+            assert (n + 1) * table[n] == (
+                3 * (2 * n - 1) * table[n - 1] - (n - 2) * table[n - 2]
+            )
+
+    def test_recurrence_strings_name_the_derivation(self):
+        for table in (
+            motzkin32_numbers(3),
+            large_motzkin_numbers(3),
+            *schroder_numbers(3),
+            ncl_counts(3),
+        ):
+            assert "S(n)" in table.recurrence
+
+    def test_odd_schroder_term_breaks_the_halving(self, monkeypatch):
+        real = counting._schroder_values
+        monkeypatch.setattr(
+            counting,
+            "_schroder_values",
+            lambda upto: [v + (i == 5) for i, v in enumerate(real(upto))],
+        )
+        with pytest.raises(ArithmeticError, match=r"S\(5\)"):
+            schroder_numbers(8)
+        with pytest.raises(ArithmeticError):
+            motzkin32_numbers(8)
+
+    def test_identities_catch_a_corrupted_holonomic_term(self, monkeypatch):
+        real = counting._schroder_values
+        monkeypatch.setattr(
+            counting,
+            "_schroder_values",
+            lambda upto: [v + 2 * (i == 7) for i, v in enumerate(real(upto))],
+        )
+        report = verify_identities(20)
+        assert not report.all_pass
+        assert len(report.checks) == 4 and report.max_index == 20
+        failures = {c.name: c.first_failure for c in report.checks if not c.holds}
+        assert failures == {
+            "L(n) = S(n)": 7,
+            "S(n) = 2 s(n)": 7,
+            "s(n) = m(n-1)": 7,
+        }

@@ -1,5 +1,8 @@
 """Path and partition data types: parsing, validation, rendering."""
 
+import itertools
+import time
+
 import pytest
 
 from motzkin_ncl import (
@@ -205,6 +208,35 @@ class TestParsePartition:
         with pytest.raises(ParseError):
             parse_partition("")
 
+    def test_names_the_first_clashing_pair_of_the_sorted_blocks(self):
+        # every family of two or three blocks over {1..4} that covers its
+        # ground set, against the pairwise definition
+        subsets = [
+            c for k in (1, 2, 3) for c in itertools.combinations(range(1, 5), k)
+        ]
+        for size in (2, 3):
+            for family in itertools.product(subsets, repeat=size):
+                covered = {v for b in family for v in b}
+                if covered != set(range(1, max(covered) + 1)):
+                    continue
+                ordered = sorted(family)
+                expected = next(
+                    (
+                        (a, b)
+                        for i, a in enumerate(ordered)
+                        for b in ordered[i + 1 :]
+                        if not _nearly_disjoint(a, b)
+                    ),
+                    None,
+                )
+                text = "".join("{" + ",".join(map(str, b)) + "}" for b in family)
+                if expected is None:
+                    parse_partition(text)
+                    continue
+                with pytest.raises(NearlyDisjointViolation) as info:
+                    parse_partition(text)
+                assert (info.value.block_a, info.value.block_b) == expected, text
+
 
 class TestValidators:
     def test_crossing_detected(self):
@@ -230,6 +262,16 @@ class TestValidators:
         )
         validate_ncl(p)
         validate_ncl_blockwise(p)
+
+    def test_crossing_found_past_deep_nesting(self):
+        depth = 20000
+        arcs = [(i, 2 * depth + 1 - i) for i in range(1, depth + 1)]
+        p = LinkedPartition(2 * depth + 2, [*arcs, (depth, 2 * depth + 2)])
+        with pytest.raises(CrossingArcs) as info:
+            validate_ncl(p)
+        first, second = info.value.first, info.value.second
+        assert first.left < second.left < first.right < second.right
+        assert validate_ncl(LinkedPartition(2 * depth, arcs))
 
     def test_nearly_disjoint_predicate(self):
         assert _nearly_disjoint((1, 2), (2, 3))
@@ -275,3 +317,22 @@ class TestRenderAscii:
         lines = art.splitlines()
         assert lines[-1] == "1 2 3 4 5 6 7 8 9 10 11 12"
         assert lines[0].startswith(".") and lines[0].rstrip().endswith(".")
+
+    def test_crossing_arc_sets_still_draw_by_containment(self):
+        assert render_ascii(LinkedPartition(4, [(1, 3), (2, 4)])) == ".-.---.\n1 2 3 4"
+        art = render_ascii(LinkedPartition(6, [(1, 4), (2, 5), (3, 6), (2, 3)]))
+        assert art == ".-.-.-----.\n| | | | | |\n| .-. | | |\n1 2 3 4 5 6"
+
+
+class TestLargePartitions:
+    def test_long_chain_parses_validates_and_draws_in_seconds(self):
+        n = 50000
+        text = "".join(f"{{{v},{v + 1}}}" for v in range(1, n))
+        started = time.perf_counter()
+        p = validate_ncl(parse_partition(text))
+        art = render_ascii(p)
+        assert time.perf_counter() - started < 10
+        assert len(p.arcs) == n - 1
+        cap, labels = art.split("\n")
+        assert labels == " ".join(str(v) for v in range(1, n + 1))
+        assert cap.count(".") == n
