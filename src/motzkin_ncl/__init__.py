@@ -27,21 +27,6 @@ from .counting import (
     schroder_numbers,
     verify_identities,
 )
-from .decompose import (
-    AxisLevel,
-    AxisSplit,
-    DecomposeError,
-    Elevated,
-    OuterDecomposition,
-    arc_reachable,
-    concat_components,
-    elevate,
-    factor_components,
-    outer_decompose,
-    restrict_partition,
-    split_axis_l3,
-    strip_elevation,
-)
 from .doubling import double, project
 from .enumerate import gen_large, gen_motzkin32, gen_ncl, gen_schroder
 from .structures import (
@@ -61,13 +46,10 @@ from .structures import (
     PartitionError,
     PathError,
     SchroderPath,
-    Step,
     blocks_of,
     parse_partition,
-    parse_path,
     render_ascii,
     render_partition,
-    render_path,
     validate_large,
     validate_motzkin,
     validate_ncl,
@@ -81,13 +63,9 @@ __all__ = [
     "Arc",
     "AxisF",
     "AxisL3",
-    "AxisLevel",
-    "AxisSplit",
     "BlockCrossing",
     "CaseTag",
     "CrossingArcs",
-    "DecomposeError",
-    "Elevated",
     "IdentityCheck",
     "IdentityReport",
     "InDegree",
@@ -97,22 +75,16 @@ __all__ = [
     "NearlyDisjointViolation",
     "NegativeHeight",
     "NonzeroFinalHeight",
-    "OuterDecomposition",
     "ParseError",
     "PartitionError",
     "PathError",
     "SchroderPath",
     "SequenceTable",
-    "Step",
     "StructureError",
-    "arc_reachable",
     "blocks_of",
     "classify_component",
-    "concat_components",
     "concat_merge",
     "double",
-    "elevate",
-    "factor_components",
     "gen_large",
     "gen_motzkin32",
     "gen_ncl",
@@ -120,19 +92,13 @@ __all__ = [
     "large_motzkin_numbers",
     "motzkin32_numbers",
     "ncl_counts",
-    "outer_decompose",
     "parse_partition",
-    "parse_path",
     "partition_to_path",
     "path_to_partition",
     "project",
     "render_ascii",
     "render_partition",
-    "render_path",
-    "restrict_partition",
     "schroder_numbers",
-    "split_axis_l3",
-    "strip_elevation",
     "validate_large",
     "validate_motzkin",
     "validate_ncl",

@@ -1,6 +1,10 @@
 """The bijection between large (3,2)-Motzkin paths of length n and
 noncrossing linked partitions of {1..n+1}.
 
+Both directions work on text words: the forward map validates its input
+once, then recurses on slices of the word, and the inverse assembles the
+word from the components of its partition.
+
 Forward direction, component by component.  An axis level step of color
 1 becomes the two-vertex block {1,2}; color 2 becomes two singletons.
 An elevated component of length p maps to a partition of p+1 vertices
@@ -33,9 +37,6 @@ from enum import Enum
 from typing import Sequence
 
 from .decompose import (
-    AxisLevel,
-    Component,
-    Elevated,
     arc_reachable,
     factor_components,
     outer_decompose,
@@ -46,7 +47,6 @@ from .structures import (
     Arc,
     LargeMotzkinPath,
     LinkedPartition,
-    Step,
     validate_large,
     validate_ncl,
 )
@@ -86,32 +86,36 @@ def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
 
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
-    if isinstance(path, str):
+    if not isinstance(path, LargeMotzkinPath):
         path = validate_large(path)
-    components = factor_components(path)
+    return _word_partition(path.text)
+
+
+def _word_partition(word: str) -> LinkedPartition:
+    components = factor_components(word)
     if not components:
         return LinkedPartition(1)
     return concat_merge([_component_partition(c) for c in components])
 
 
-def _component_partition(component: Component) -> LinkedPartition:
-    if isinstance(component, AxisLevel):
-        if component.color is Step.LEVEL1:
-            return LinkedPartition(2, {(1, 2)})
+def _component_partition(component: str) -> LinkedPartition:
+    if component == "a":
+        return LinkedPartition(2, {(1, 2)})
+    if component == "b":
         return LinkedPartition(2)
-    split = split_axis_l3(component.inner)
-    p = component.length
-    if component.down is Step.DOWN1:
-        if split.k == 1:
-            interior = path_to_partition(split.segments[0])  # on 1..p-1
+    segments = split_axis_l3(component[1:-1])
+    p = len(component)
+    if component[-1] == "x":
+        if len(segments) == 1:
+            interior = _word_partition(segments[0])  # on 1..p-1
             return LinkedPartition(p + 1, interior.arcs | {(1, p), (1, p + 1)})
-        chained = concat_merge([_tied_segment(s) for s in split.segments])  # on 1..p
+        chained = concat_merge([_tied_segment(s) for s in segments])  # on 1..p
         return LinkedPartition(p + 1, chained.arcs | {(1, p + 1)})
-    if split.k == 1:
-        interior = path_to_partition(split.segments[0])  # on 1..p-1, p stays free
+    if len(segments) == 1:
+        interior = _word_partition(segments[0])  # on 1..p-1, p stays free
         return LinkedPartition(p + 1, interior.arcs | {(1, p + 1)})
-    head = path_to_partition(split.segments[0])  # on 1..t1+1
-    tail = concat_merge([_tied_segment(s) for s in split.segments[1:]])
+    head = _word_partition(segments[0])  # on 1..t1+1
+    tail = concat_merge([_tied_segment(s) for s in segments[1:]])
     shift = head.n  # tail occupies t1+2..p, one past the head
     arcs = set(head.arcs)
     arcs.update(Arc(a + shift, b + shift) for a, b in tail.arcs)
@@ -119,9 +123,9 @@ def _component_partition(component: Component) -> LinkedPartition:
     return LinkedPartition(p + 1, arcs)
 
 
-def _tied_segment(segment: LargeMotzkinPath) -> LinkedPartition:
+def _tied_segment(segment: str) -> LinkedPartition:
     """A segment's partition plus the arc tying vertex 1 one past its end."""
-    base = path_to_partition(segment)
+    base = _word_partition(segment)
     return LinkedPartition(base.n + 1, base.arcs | {(1, base.n + 1)})
 
 
@@ -151,8 +155,7 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
 
         p = parse_partition(p)
     validate_ncl(p)
-    decomposition = outer_decompose(p)
-    word = "".join(_component_word(c) for c in decomposition.components)
+    word = "".join(_component_word(c) for c in outer_decompose(p))
     return LargeMotzkinPath(word)
 
 

@@ -416,6 +416,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except RecursionError:
+        # the maps recurse once per nesting level of the object
+        print("input nests too deeply for the recursive maps", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -1,196 +1,63 @@
-"""Structural decompositions used by the bijections.
+"""Structural decompositions used by the bijections, on text words and
+arc sets.
 
 A large path factors uniquely at its returns to the axis into
-*components*: single axis-level steps and elevated stretches ``U..x`` /
-``U..y`` that stay strictly above the axis in between.  The interior of
-an elevated stretch, read at its own baseline, splits at its axis-level
-color-3 steps into large segments.  On the partition side, the mirror
-notion is the outer decomposition at vertices that sit strictly inside
-no arc.
+*components*: the single axis-level steps ``a``/``b`` and elevated words
+``U..x`` / ``U..y`` that stay strictly above the axis in between.  The
+interior of an elevated word, read at its own baseline, splits at its
+axis-level color-3 steps into large segments.  On the partition side,
+the mirror notion is the outer decomposition at vertices that sit
+strictly inside no arc.
+
+The helpers expect valid input; the public maps in
+:mod:`motzkin_ncl.bijection` validate before they call them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .structures import (
-    Arc,
-    LargeMotzkinPath,
-    LinkedPartition,
-    MotzkinPath,
-    Step,
-    _DELTA,
-    validate_large,
-    validate_motzkin,
-)
+from .structures import Arc, LinkedPartition, _DELTA
 
 
-class DecomposeError(ValueError):
-    """A value does not have the shape a decomposition step requires."""
+def factor_components(text: str) -> tuple[str, ...]:
+    """Cut a valid large word at its returns to the axis.
 
-
-@dataclass(frozen=True)
-class AxisLevel:
-    """A single level step on the axis (color 1 or 2)."""
-
-    color: Step
-
-    def __post_init__(self) -> None:
-        if self.color not in (Step.LEVEL1, Step.LEVEL2):
-            raise DecomposeError("axis level steps use color 1 or 2")
-
-    @property
-    def length(self) -> int:
-        return 1
-
-    @property
-    def word(self) -> str:
-        return self.color.value
-
-
-@dataclass(frozen=True)
-class Elevated:
-    """An up step, an interior Motzkin path, and a closing down step."""
-
-    down: Step
-    inner: MotzkinPath
-
-    def __post_init__(self) -> None:
-        if self.down not in (Step.DOWN1, Step.DOWN2):
-            raise DecomposeError("an elevated component closes with a down step")
-
-    @property
-    def length(self) -> int:
-        return len(self.inner) + 2
-
-    @property
-    def word(self) -> str:
-        return "U" + self.inner.text + self.down.value
-
-
-Component = AxisLevel | Elevated
-
-
-def factor_components(path: LargeMotzkinPath | str) -> tuple[Component, ...]:
-    """Cut a large path at its returns to the axis.
-
-    >>> [c.word for c in factor_components("abUx")]
-    ['a', 'b', 'Ux']
+    >>> factor_components("abUxUcUyx")
+    ('a', 'b', 'Ux', 'UcUyx')
     """
-    if isinstance(path, str):
-        path = validate_large(path)
-    text = path.text
-    out: list[Component] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "ab":
-            out.append(AxisLevel(Step(ch)))
-            i += 1
-            continue
-        # large paths put nothing else on the axis, so an up step opens here
-        h = 1
-        j = i + 1
-        while h > 0:
-            h += _DELTA[text[j]]
-            j += 1
-        inner = MotzkinPath(text[i + 1 : j - 1])
-        out.append(Elevated(Step(text[j - 1]), inner))
-        i = j
+    out = []
+    start = 0
+    h = 0
+    for i, ch in enumerate(text):
+        h += _DELTA[ch]
+        if h == 0:
+            out.append(text[start : i + 1])
+            start = i + 1
     return tuple(out)
 
 
-def concat_components(components: tuple[Component, ...] | list[Component]) -> LargeMotzkinPath:
-    """Inverse of :func:`factor_components`."""
-    return LargeMotzkinPath("".join(c.word for c in components))
+def split_axis_l3(text: str) -> tuple[str, ...]:
+    """Split a valid Motzkin word at every axis-level color-3 step.
 
-
-def elevate(inner: MotzkinPath | str, down: Step) -> Elevated:
-    """Wrap a Motzkin path into the component ``U`` + inner + down."""
-    if isinstance(inner, str):
-        inner = validate_motzkin(inner)
-    return Elevated(down, inner)
-
-
-def strip_elevation(
-    component: Component | MotzkinPath | str,
-) -> tuple[MotzkinPath, Step]:
-    """Undo :func:`elevate`; words are accepted if they form one elevated
-    component on their own."""
-    if isinstance(component, AxisLevel):
-        raise DecomposeError("an axis level step has no elevation to strip")
-    if isinstance(component, Elevated):
-        return component.inner, component.down
-    path = validate_motzkin(component) if isinstance(component, str) else component
-    text = path.text
-    if len(text) < 2 or text[0] != "U" or text[-1] not in "xy":
-        raise DecomposeError("not a single elevated component")
-    h = 0
-    for ch in text[:-1]:
-        h += _DELTA[ch]
-        if h == 0:
-            raise DecomposeError("path returns to the axis before its last step")
-    return MotzkinPath(text[1:-1]), Step(text[-1])
-
-
-@dataclass(frozen=True)
-class AxisSplit:
-    """Segments of a Motzkin path between its axis-level color-3 steps."""
-
-    segments: tuple[LargeMotzkinPath, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.segments)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.segments)
-
-
-def split_axis_l3(path: MotzkinPath | str) -> AxisSplit:
-    """Split at every axis-level color-3 step.
-
-    A path with no such step yields itself as the single segment; a path
+    A word with no such step yields itself as the single segment; a word
     with k-1 of them yields k segments, each large by construction.
 
-    >>> split_axis_l3("bUxcUyc").lengths
-    (3, 2, 0)
+    >>> split_axis_l3("bUxcUyc")
+    ('bUx', 'Uy', '')
     """
-    if isinstance(path, str):
-        path = validate_motzkin(path)
-    text = path.text
-    cuts = []
+    pieces = []
+    start = 0
     h = 0
     for i, ch in enumerate(text):
         if ch == "c" and h == 0:
-            cuts.append(i)
+            pieces.append(text[start:i])
+            start = i + 1
         h += _DELTA[ch]
-    pieces = []
-    start = 0
-    for cut in cuts:
-        pieces.append(text[start:cut])
-        start = cut + 1
     pieces.append(text[start:])
-    return AxisSplit(tuple(LargeMotzkinPath(piece) for piece in pieces))
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
 # partition side
-
-
-@dataclass(frozen=True)
-class OuterDecomposition:
-    """Split points of a partition and the components between them.
-
-    ``split_points`` holds every vertex lying strictly inside no arc (1
-    and n always qualify).  ``components[i]`` is the restriction to the
-    closed interval [split_points[i], split_points[i+1]], relabeled to
-    start at 1; consecutive components share one vertex.
-    """
-
-    split_points: tuple[int, ...]
-    components: tuple[LinkedPartition, ...]
 
 
 def restrict_partition(p: LinkedPartition, lo: int, hi: int) -> LinkedPartition:
@@ -201,21 +68,23 @@ def restrict_partition(p: LinkedPartition, lo: int, hi: int) -> LinkedPartition:
     return LinkedPartition(hi - lo + 1, frozenset(arcs))
 
 
-def outer_decompose(p: LinkedPartition) -> OuterDecomposition:
+def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
     """Cut a valid partition at its uncovered vertices.
 
-    Every arc fits inside one stretch between consecutive split points,
-    so the components carry all arcs between them.
+    The split points are the vertices lying strictly inside no arc (1
+    and n always qualify).  Component i is the restriction to the closed
+    interval between the i-th and (i+1)-th split point, relabeled to
+    start at 1, so consecutive components share one vertex.  Every arc
+    fits inside one such interval, so the components carry all arcs.
     """
     covered = set()
     for a, b in p.arcs:
         covered.update(range(a + 1, b))
-    points = tuple(v for v in range(1, p.n + 1) if v not in covered)
-    components = tuple(
+    points = [v for v in range(1, p.n + 1) if v not in covered]
+    return tuple(
         restrict_partition(p, points[i], points[i + 1])
         for i in range(len(points) - 1)
     )
-    return OuterDecomposition(points, components)
 
 
 def arc_reachable(p: LinkedPartition, a: int, b: int) -> bool:

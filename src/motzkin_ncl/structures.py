@@ -25,7 +25,9 @@ The objects handled by this package:
   exactly when no vertex is the right endpoint of two arcs and no two
   arcs cross.
 
-All types are immutable values.  Validity is established by the
+A path is its text word: :class:`MotzkinPath` only wraps the string,
+and the other modules take words apart with string operations.  All
+types are immutable values.  Validity is established by the
 ``validate_*`` functions, not by construction; constructors only check
 cheap well-formedness (alphabet membership, arc bounds).
 """
@@ -33,53 +35,11 @@ cheap well-formedness (alphabet membership, arc bounds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 _DIGITS = frozenset("0123456789")
-
-
-class Step(Enum):
-    """One step of a (3,2)-Motzkin path, identified by its text letter."""
-
-    UP = "U"
-    LEVEL1 = "a"
-    LEVEL2 = "b"
-    LEVEL3 = "c"
-    DOWN1 = "x"
-    DOWN2 = "y"
-
-    @property
-    def char(self) -> str:
-        return self.value
-
-    @property
-    def delta(self) -> int:
-        """Height change contributed by this step."""
-        if self is Step.UP:
-            return 1
-        if self in (Step.DOWN1, Step.DOWN2):
-            return -1
-        return 0
-
-    @property
-    def is_up(self) -> bool:
-        return self is Step.UP
-
-    @property
-    def is_level(self) -> bool:
-        return self.delta == 0
-
-    @property
-    def is_down(self) -> bool:
-        return self.delta == -1
-
-
-_CHAR_TO_STEP = {s.value: s for s in Step}
-_PATH_ALPHABET = frozenset(_CHAR_TO_STEP)
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
-
-PathWord = tuple[Step, ...]
+_PATH_ALPHABET = frozenset(_DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +127,6 @@ class BlockCrossing(PartitionError):
 # paths
 
 
-def parse_path(text: str) -> PathWord:
-    """Read a path word from its text form.
-
-    >>> parse_path("Ubx")
-    (<Step.UP: 'U'>, <Step.LEVEL2: 'b'>, <Step.DOWN1: 'x'>)
-    """
-    steps = []
-    for i, ch in enumerate(text):
-        step = _CHAR_TO_STEP.get(ch)
-        if step is None:
-            raise ParseError(f"unknown step character {ch!r}", i)
-        steps.append(step)
-    return tuple(steps)
-
-
-def render_path(word: Iterable[Step]) -> str:
-    """Inverse of :func:`parse_path`."""
-    return "".join(step.value for step in word)
-
-
 @dataclass(frozen=True, eq=False)
 class MotzkinPath:
     """A (3,2)-Motzkin path, stored as its text word.
@@ -217,10 +157,6 @@ class MotzkinPath:
     def __str__(self) -> str:
         return self.text
 
-    @property
-    def steps(self) -> PathWord:
-        return parse_path(self.text)
-
     def heights(self) -> tuple[int, ...]:
         """Running height after each step."""
         out = []
@@ -235,18 +171,10 @@ class LargeMotzkinPath(MotzkinPath):
     """A (3,2)-Motzkin path with no axis-level steps of color 3."""
 
 
-def _word_text(word: str | MotzkinPath | Iterable[Step]) -> str:
-    if isinstance(word, MotzkinPath):
-        return word.text
-    if isinstance(word, str):
-        parse_path(word)  # alphabet check with offsets
-        return word
-    return render_path(word)
-
-
-def validate_motzkin(word: str | MotzkinPath | Iterable[Step]) -> MotzkinPath:
+def validate_motzkin(word: str | MotzkinPath) -> MotzkinPath:
     """Check the height profile of a word and wrap it as a path."""
-    text = _word_text(word)
+    text = word.text if isinstance(word, MotzkinPath) else word
+    path = MotzkinPath(text)  # alphabet check, with the offending offset
     h = 0
     for i, ch in enumerate(text):
         h += _DELTA[ch]
@@ -254,12 +182,21 @@ def validate_motzkin(word: str | MotzkinPath | Iterable[Step]) -> MotzkinPath:
             raise NegativeHeight(i)
     if h != 0:
         raise NonzeroFinalHeight(h)
-    return MotzkinPath(text)
+    return path
 
 
-def validate_large(word: str | MotzkinPath | Iterable[Step]) -> LargeMotzkinPath:
-    """Like :func:`validate_motzkin`, also rejecting color 3 on the axis."""
-    text = _word_text(word)
+def validate_large(word: str | MotzkinPath) -> LargeMotzkinPath:
+    """Like :func:`validate_motzkin`, also rejecting color 3 on the axis.
+
+    >>> validate_large("Ubx").heights()
+    (1, 1, 0)
+    >>> validate_large("Uqx")
+    Traceback (most recent call last):
+    ...
+    motzkin_ncl.structures.ParseError: unknown step character 'q' (offset 1)
+    """
+    text = word.text if isinstance(word, MotzkinPath) else word
+    path = LargeMotzkinPath(text)
     h = 0
     for i, ch in enumerate(text):
         if ch == "c" and h == 0:
@@ -269,7 +206,7 @@ def validate_large(word: str | MotzkinPath | Iterable[Step]) -> LargeMotzkinPath
             raise NegativeHeight(i)
     if h != 0:
         raise NonzeroFinalHeight(h)
-    return LargeMotzkinPath(text)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +519,15 @@ def _path_art(path: MotzkinPath) -> str:
     text = path.text
     if not text:
         return ""
-    heights = []
-    h = 0
-    for ch in text:
-        h += _DELTA[ch]
-        heights.append(h)
+    heights = path.heights()
     top = max([0, *heights])
     grid = {}
-    h = 0
-    for i, ch in enumerate(text):
-        if ch == "U":
-            grid[(h + 1, i)] = "/"
-        elif ch in "xy":
-            grid[(h, i)] = "\\"
+    # a step's glyph sits in the row of its higher end
+    for i, (ch, h) in enumerate(zip(text, heights)):
+        if ch in "xy":
+            grid[(h + 1, i)] = "\\"
         else:
-            grid[(h, i)] = ch
-        h += _DELTA[ch]
+            grid[(h, i)] = "/" if ch == "U" else ch
     rows = []
     for level in range(top, 0, -1):
         rows.append("".join(grid.get((level, i), " ") for i in range(len(text))).rstrip())

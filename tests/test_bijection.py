@@ -11,13 +11,13 @@ from motzkin_ncl import (
     concat_merge,
     gen_large,
     gen_ncl,
-    outer_decompose,
     parse_partition,
     partition_to_path,
     path_to_partition,
     render_partition,
     validate_large,
 )
+from motzkin_ncl.decompose import outer_decompose
 
 # every base case and one representative of each elevated case
 KNOWN_PAIRS = [
@@ -104,7 +104,7 @@ class TestClassify:
         for n in range(1, 7):
             for path in gen_large(n):
                 p = path_to_partition(path)
-                for comp in outer_decompose(p).components:
+                for comp in outer_decompose(p):
                     assert classify_component(comp) in CaseTag
 
 

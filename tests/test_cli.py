@@ -172,6 +172,19 @@ class TestMap:
         assert code == 1
         assert out == "{1,2,3}\n" and err
 
+    def test_too_deep_nesting_fails_in_one_line(self):
+        import subprocess
+
+        word = "U" * 2000 + "x" * 2000
+        proc = subprocess.run(
+            [sys.executable, "-m", "motzkin_ncl", "map", "--phi", word],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "deep" in proc.stderr
+
 
 class TestRender:
     def test_path_diagram(self, capsys):

@@ -1,102 +1,58 @@
 """Path factorizations and partition decompositions used by the bijection."""
 
-import pytest
-
-from motzkin_ncl import (
-    Arc,
-    DecomposeError,
-    LargeMotzkinPath,
-    LinkedPartition,
-    Step,
+from motzkin_ncl import Arc, parse_partition, validate_large
+from motzkin_ncl.decompose import (
     arc_reachable,
-    concat_components,
-    elevate,
     factor_components,
     outer_decompose,
-    parse_partition,
     restrict_partition,
     split_axis_l3,
-    strip_elevation,
-    validate_large,
 )
-from motzkin_ncl.decompose import AxisLevel, Elevated
 
 
 class TestFactorComponents:
     def test_axis_levels_and_one_elevated(self):
-        assert [c.word for c in factor_components("abUx")] == ["a", "b", "Ux"]
+        assert factor_components("abUx") == ("a", "b", "Ux")
 
     def test_worked_example_splits_in_two(self):
-        first, second = factor_components("UbxUbUxcUycy")
-        assert isinstance(first, Elevated)
-        assert (first.inner.text, first.down) == ("b", Step.DOWN1)
-        assert (second.inner.text, second.down) == ("bUxcUyc", Step.DOWN2)
+        assert factor_components("UbxUbUxcUycy") == ("Ubx", "UbUxcUycy")
 
     def test_empty_path_has_no_components(self):
         assert factor_components("") == ()
 
     def test_inner_may_touch_its_own_baseline(self):
         # the l3 steps sit at height 1, the component's own baseline
-        (only,) = factor_components("UcUxcy")
-        assert only.word == "UcUxcy" and only.inner.text == "cUxc"
+        assert factor_components("UcUxcy") == ("UcUxcy",)
 
     def test_concat_inverts_factor(self):
         for text in ("", "a", "UxbUcy", "UbxUbUxcUycy"):
-            parts = factor_components(text)
-            assert concat_components(parts).text == text
-
-    def test_rejects_non_large_words(self):
-        with pytest.raises(ValueError):
-            factor_components("c")
+            assert "".join(factor_components(text)) == text
 
 
 class TestElevate:
     def test_wraps_inner_path(self):
-        assert elevate("", Step.DOWN2).word == "Uy"
-        assert elevate("bUxcUyc", Step.DOWN2).word == "UbUxcUycy"
-
-    def test_strip_inverts_elevate(self):
-        inner, down = strip_elevation("Ucx")
-        assert inner.text == "c" and down is Step.DOWN1
-
-    def test_strip_requires_one_component(self):
-        with pytest.raises(DecomposeError):
-            strip_elevation("ab")
-        with pytest.raises(DecomposeError):
-            strip_elevation("UxUy")
-
-    def test_strip_rejects_axis_level_component(self):
-        (component,) = factor_components("a")
-        with pytest.raises(DecomposeError):
-            strip_elevation(component)
-
-    def test_down_color_must_be_a_down_step(self):
-        with pytest.raises(ValueError):
-            elevate("", Step.LEVEL1)
+        # an up step, any Motzkin interior and a down step stay one component
+        for inner in ("", "c", "bUxcUyc"):
+            for down in "xy":
+                word = "U" + inner + down
+                assert factor_components(word) == (word,)
 
 
 class TestAxisSplit:
     def test_splits_at_every_baseline_l3(self):
-        split = split_axis_l3("bUxcUyc")
-        assert split.k == 3
-        assert split.lengths == (3, 2, 0)
-        assert [s.text for s in split.segments] == ["bUx", "Uy", ""]
+        assert split_axis_l3("bUxcUyc") == ("bUx", "Uy", "")
 
     def test_no_l3_gives_one_segment(self):
-        split = split_axis_l3("")
-        assert split.k == 1 and split.segments[0].text == ""
+        assert split_axis_l3("") == ("",)
 
     def test_lone_l3_gives_two_empty_segments(self):
-        split = split_axis_l3("c")
-        assert [s.text for s in split.segments] == ["", ""]
+        assert split_axis_l3("c") == ("", "")
 
     def test_elevated_l3_does_not_split(self):
-        split = split_axis_l3("Ucx")
-        assert split.k == 1 and split.segments[0].text == "Ucx"
+        assert split_axis_l3("Ucx") == ("Ucx",)
 
     def test_segments_are_large(self):
-        for segment in split_axis_l3("UcxcaUcy").segments:
-            assert isinstance(segment, LargeMotzkinPath)
+        for segment in split_axis_l3("UcxcaUcy"):
             validate_large(segment)
 
 
@@ -117,33 +73,30 @@ class TestRestrict:
 
 class TestOuterDecompose:
     def test_arc_free_partition_is_one_component(self):
-        d = outer_decompose(parse_partition("{1}{2}"))
-        assert d.split_points == (1, 2)
-        assert len(d.components) == 1
-        assert d.components[0].n == 2 and not d.components[0].arcs
+        (only,) = outer_decompose(parse_partition("{1}{2}"))
+        assert only.n == 2 and not only.arcs
 
     def test_worked_example_outer_points(self):
+        # split points 1, 4 and 13: components on 1..4 and 4..13
         p = parse_partition("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
-        d = outer_decompose(p)
-        assert d.split_points == (1, 4, 13)
-        first, second = d.components
+        first, second = outer_decompose(p)
         assert first.n == 4
         assert first.arcs == frozenset({Arc(1, 3), Arc(1, 4)})
         assert second.n == 10 and Arc(1, 10) in second.arcs
 
     def test_axis_chain_cuts_at_every_link(self):
-        d = outer_decompose(parse_partition("{1,2}{2,3}"))
-        assert d.split_points == (1, 2, 3)
-        first, second = d.components
+        first, second = outer_decompose(parse_partition("{1,2}{2,3}"))
+        assert first.n == second.n == 2
         assert first.arcs == second.arcs == frozenset({Arc(1, 2)})
 
     def test_covered_chain_stays_in_one_component(self):
         # the outer arc (1,4) shields the chain 1-2-3 from being cut
-        d = outer_decompose(parse_partition("{1,2,4}{2,3}"))
-        assert d.split_points == (1, 4)
-        (only,) = d.components
+        (only,) = outer_decompose(parse_partition("{1,2,4}{2,3}"))
         assert only.n == 4
         assert only.arcs == frozenset({Arc(1, 2), Arc(1, 4), Arc(2, 3)})
+
+    def test_single_vertex_has_no_components(self):
+        assert outer_decompose(parse_partition("{1}")) == ()
 
 
 class TestArcReachable:

@@ -17,6 +17,7 @@ from motzkin_ncl import (
     validate_ncl,
     validate_ncl_blockwise,
 )
+from motzkin_ncl.decompose import factor_components, split_axis_l3
 
 DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 
@@ -77,6 +78,23 @@ class TestBijectionProperties:
         for block in blocks_of(p):
             covered.update(block)
         assert covered == set(range(1, p.n + 1))
+
+
+class TestDecomposeProperties:
+    @given(motzkin_words())
+    def test_components_concatenate_to_word(self, word):
+        components = factor_components(word)
+        assert "".join(components) == word
+        # each component is one axis level step or one elevated stretch
+        for c in components:
+            assert c in ("a", "b") or (c[0] == "U" and c[-1] in "xy")
+
+    @given(motzkin_words(large=False))
+    def test_segments_join_at_axis_l3(self, word):
+        segments = split_axis_l3(word)
+        assert "c".join(segments) == word
+        for segment in segments:
+            validate_large(segment)
 
 
 class TestDoublingProperties:

@@ -19,13 +19,10 @@ from motzkin_ncl import (
     NonzeroFinalHeight,
     ParseError,
     PartitionError,
-    Step,
     blocks_of,
     parse_partition,
-    parse_path,
     render_ascii,
     render_partition,
-    render_path,
     validate_large,
     validate_motzkin,
     validate_ncl,
@@ -37,23 +34,34 @@ from motzkin_ncl.structures import _nearly_disjoint
 
 class TestSteps:
     def test_deltas(self):
-        assert Step.UP.delta == 1
-        assert Step.DOWN1.delta == Step.DOWN2.delta == -1
-        for s in (Step.LEVEL1, Step.LEVEL2, Step.LEVEL3):
-            assert s.delta == 0 and s.is_level
+        # up +1, both down colors -1, all three level colors 0
+        assert validate_motzkin("UxUy").heights() == (1, 0, 1, 0)
+        assert validate_motzkin("Uabcx").heights() == (1, 1, 1, 1, 0)
 
     def test_parse_render_round_trip(self):
-        word = parse_path("UabcxyU" + "x")
-        assert render_path(word) == "UabcxyUx"
+        # every letter of the alphabet reads in and prints back unchanged
+        assert str(MotzkinPath("UabcxyUx")) == "UabcxyUx"
 
     def test_parse_rejects_unknown_character(self):
         with pytest.raises(ParseError) as info:
-            parse_path("Uq")
+            validate_motzkin("Uq")
         assert info.value.offset == 1
+        with pytest.raises(ParseError) as info:
+            validate_large("UxUq")
+        assert info.value.offset == 3
 
     def test_parse_rejects_whitespace(self):
-        with pytest.raises(ParseError):
-            parse_path("U x")
+        with pytest.raises(ParseError) as info:
+            validate_large("U x")
+        assert info.value.offset == 1
+
+    def test_alphabet_is_checked_before_heights(self):
+        # "x" alone would dip below the axis; the bad letter is named first
+        for validate in (validate_motzkin, validate_large):
+            with pytest.raises(ParseError) as info:
+                validate("xq")
+            assert info.value.offset == 1
+            assert str(info.value) == "unknown step character 'q' (offset 1)"
 
 
 class TestMotzkinValidation:
