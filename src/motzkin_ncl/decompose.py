@@ -10,19 +10,35 @@ the mirror notion is the outer decomposition at vertices that sit
 strictly inside no arc.
 
 The helpers expect valid input; the public maps in
-:mod:`motzkin_ncl.bijection` validate before they call them.
+:mod:`motzkin_ncl.bijection` validate before they call them.  Only
+:func:`factor_components` still rejects a word that is not large, as it
+can check that at the axis returns alone.
 """
 
 from __future__ import annotations
 
-from .structures import Arc, LinkedPartition, _DELTA
+from .structures import (
+    _DELTA,
+    Arc,
+    AxisL3,
+    LinkedPartition,
+    NegativeHeight,
+    NonzeroFinalHeight,
+)
 
 
 def factor_components(text: str) -> tuple[str, ...]:
-    """Cut a valid large word at its returns to the axis.
+    """Cut a large word at its returns to the axis.
+
+    Only the axis returns are checked, so a word that is not large still
+    raises a :class:`~motzkin_ncl.structures.PathError` at no cost per step.
 
     >>> factor_components("abUxUcUyx")
     ('a', 'b', 'Ux', 'UcUyx')
+    >>> factor_components("c")
+    Traceback (most recent call last):
+    ...
+    motzkin_ncl.structures.AxisL3: level color 3 on the axis at step 0
     """
     out = []
     start = 0
@@ -30,8 +46,16 @@ def factor_components(text: str) -> tuple[str, ...]:
     for i, ch in enumerate(text):
         h += _DELTA[ch]
         if h == 0:
+            if i == start:
+                if ch == "c":
+                    raise AxisL3(i)
+            elif text[start] != "U":
+                # the piece left the axis downwards
+                raise NegativeHeight(start)
             out.append(text[start : i + 1])
             start = i + 1
+    if start != len(text):
+        raise NonzeroFinalHeight(h)
     return tuple(out)
 
 

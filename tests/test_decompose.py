@@ -1,5 +1,7 @@
 """Path factorizations and partition decompositions used by the bijection."""
 
+import pytest
+
 from motzkin_ncl import Arc, parse_partition, validate_large
 from motzkin_ncl.decompose import (
     arc_reachable,
@@ -27,6 +29,13 @@ class TestFactorComponents:
     def test_concat_inverts_factor(self):
         for text in ("", "a", "UxbUcy", "UbxUbUxcUycy"):
             assert "".join(factor_components(text)) == text
+
+    def test_rejects_non_large_words(self):
+        with pytest.raises(ValueError):
+            factor_components("c")
+        for text in ("x", "xU", "aUUx", "Uxx"):
+            with pytest.raises(ValueError):
+                factor_components(text)
 
 
 class TestElevate:
