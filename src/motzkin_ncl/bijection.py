@@ -1,9 +1,9 @@
 """The bijection between large (3,2)-Motzkin paths of length n and
 noncrossing linked partitions of {1..n+1}.
 
-Both directions work on text words: the forward map validates its input
-once, then recurses on slices of the word, and the inverse assembles the
-word from the components of its partition.
+Both directions work on text words and validate their input once: the
+forward map then recurses on slices of the word, and the inverse
+assembles the word from the components of its partition.
 
 Forward direction, component by component.  An axis level step of color
 1 becomes the two-vertex block {1,2}; color 2 becomes two singletons.
@@ -155,8 +155,11 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
 
         p = parse_partition(p)
     validate_ncl(p)
-    word = "".join(_component_word(c) for c in outer_decompose(p))
-    return LargeMotzkinPath(word)
+    return LargeMotzkinPath(_partition_word(p))
+
+
+def _partition_word(p: LinkedPartition) -> str:
+    return "".join(_component_word(c) for c in outer_decompose(p))
 
 
 def _component_word(component: LinkedPartition) -> str:
@@ -194,4 +197,4 @@ def _component_word(component: LinkedPartition) -> str:
 
 
 def _interior_word(component: LinkedPartition, lo: int, hi: int) -> str:
-    return partition_to_path(restrict_partition(component, lo, hi)).text
+    return _partition_word(restrict_partition(component, lo, hi))

@@ -186,9 +186,8 @@ def _map_transform(args: argparse.Namespace) -> Callable[[str], str]:
         return lambda line: partition_to_path(parse_partition(line)).text
     if args.double is not None:
         bit = args.double
-        return lambda line: double(validate_motzkin(line), bit).text
-    q_and_bit = lambda line: project(validate_large(line))
-    return lambda line: "%s\t%d" % q_and_bit(line)
+        return lambda line: double(line, bit).text
+    return lambda line: "%s\t%d" % project(line)
 
 
 def cmd_map(args: argparse.Namespace) -> int:

@@ -36,9 +36,7 @@ def double(path: MotzkinPath | str, bit: int) -> LargeMotzkinPath:
     """Send a plain path of length n-1 and a bit to a large path of length n."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    if isinstance(path, str):
-        path = validate_motzkin(path)
-    text = path.text
+    text = validate_motzkin(path).text
     cut = _first_axis_l3(text)
     if cut is None:
         return LargeMotzkinPath(text + _AXIS_LEVEL[bit])
@@ -55,9 +53,7 @@ def project(path: LargeMotzkinPath | str) -> tuple[MotzkinPath, int]:
     final elevated component (reopen that component's up step as an
     axis-level color-3 step, read the bit off the down color).
     """
-    if isinstance(path, str):
-        path = validate_large(path)
-    text = path.text
+    text = validate_large(path).text
     if not text:
         raise ValueError("the empty path is not in the image of double")
     last = text[-1]

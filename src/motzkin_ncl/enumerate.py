@@ -1,11 +1,26 @@
 """Exhaustive generators, used as independent oracles for the counting
 tables and the bijections.
 
-Path streams run a lexicographic depth-first search over feasible
-prefixes, so they are lazy and already sorted by text.  The partition
-stream backtracks over arc placements (left endpoints in increasing
-order, pruning on in-degree and crossings) and sorts the results into
-canonical text order; it never consults the bijection.
+All four path families come from one lexicographic depth-first walk.
+The families differ only in how far each letter moves the height, how
+many x-units it spans (``F`` spans two, every other letter one), and
+which letter, if any, the axis bars (``c`` for large Motzkin paths,
+``F`` for little Schroeder paths).  One feasibility rule covers them
+all: at height h with r units left, letter ch extends the prefix to a
+complete path exactly when
+
+    0 <= h + delta(ch) <= r - width(ch)
+
+and ch is not the barred letter at h = 0.  The walk only extends
+feasible prefixes, so it never backtracks out of a dead end; trying the
+letters in sorted order makes each stream lazy and sorted by text.
+
+>>> [p.text for p in gen_schroder(2, "little")]
+['UDUD', 'UFD', 'UUDD']
+
+The partition stream backtracks over arc placements (left endpoints in
+increasing order, pruning on in-degree and crossings) and sorts the
+results into canonical text order; it never consults the bijection.
 """
 
 from __future__ import annotations
@@ -24,59 +39,62 @@ from .structures import (
 )
 
 
-def _motzkin_words(length: int, axis_l3: bool) -> Iterator[str]:
-    """All (3,2)-Motzkin words of the given length, smallest text first.
-
-    From height h with r steps left, a prefix completes exactly when the
-    next height stays within the remaining steps; trying the letters in
-    alphabetical order makes the whole walk lexicographic.
+def _words(
+    units: int,
+    delta: dict[str, int],
+    width: dict[str, int],
+    barred: str | None = None,
+) -> Iterator[str]:
+    """Words over ``delta``'s letters spanning ``units`` x-units that stay
+    weakly above the axis, end on it, and never take ``barred`` on it;
+    smallest text first, by the feasibility rule in the module docstring.
     """
-    if length == 0:
+    if units == 0:
         yield ""
         return
-    options: dict[tuple[int, int], tuple[str, ...]] = {}
+    letters = sorted(delta)
+    options: dict[tuple[int, int], tuple[tuple[str, int, int], ...]] = {}
 
-    def steps_from(h: int, r: int) -> tuple[str, ...]:
+    def steps_from(h: int, r: int) -> tuple[tuple[str, int, int], ...]:
+        """The feasible letters at height h with r units left, each with
+        the height and units left after it."""
         key = (h, r)
         found = options.get(key)
         if found is None:
-            out = []
-            if h + 1 <= r - 1:
-                out.append("U")
-            if h <= r - 1:
-                out.extend("ab")
-                if axis_l3 or h > 0:
-                    out.append("c")
-            if h >= 1:
-                out.extend("xy")
-            found = options[key] = tuple(out)
+            found = options[key] = tuple(
+                (ch, h + delta[ch], r - width[ch])
+                for ch in letters
+                if 0 <= h + delta[ch] <= r - width[ch]
+                and not (h == 0 and ch == barred)
+            )
         return found
 
     chars: list[str] = []
-    heights = [0]
-    stack = [iter(steps_from(0, length))]
+    stack = [iter(steps_from(0, units))]
     while stack:
-        ch = next(stack[-1], None)
-        if ch is None:
+        step = next(stack[-1], None)
+        if step is None:
             stack.pop()
             if chars:
                 chars.pop()
-                heights.pop()
             continue
-        if len(chars) + 1 == length:
+        ch, h, r = step
+        if r == 0:
             yield "".join(chars) + ch
             continue
-        h = heights[-1] + _DELTA[ch]
         chars.append(ch)
-        heights.append(h)
-        stack.append(iter(steps_from(h, length - len(chars))))
+        stack.append(iter(steps_from(h, r)))
+
+
+_MOTZKIN_UNITS = dict.fromkeys(_DELTA, 1)
+_SCHRODER_UNITS = {"U": 1, "F": 2, "D": 1}
 
 
 def gen_motzkin32(n: int) -> Iterator[MotzkinPath]:
     """All (3,2)-Motzkin paths of length n, in text order."""
     if n < 0:
         raise ValueError("path length cannot be negative")
-    for word in _motzkin_words(n, axis_l3=True):
+    for word in _words(n, _DELTA, _MOTZKIN_UNITS):
         yield MotzkinPath(word)
 
 
@@ -84,8 +102,19 @@ def gen_large(n: int) -> Iterator[LargeMotzkinPath]:
     """All large (3,2)-Motzkin paths of length n, in text order."""
     if n < 0:
         raise ValueError("path length cannot be negative")
-    for word in _motzkin_words(n, axis_l3=False):
+    for word in _words(n, _DELTA, _MOTZKIN_UNITS, barred="c"):
         yield LargeMotzkinPath(word)
+
+
+def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
+    """All Schroeder paths of half-length n, in text order."""
+    if n < 0:
+        raise ValueError("half-length cannot be negative")
+    if variant not in ("large", "little"):
+        raise ValueError(f"unknown variant {variant!r}")
+    barred = "F" if variant == "little" else None
+    for word in _words(2 * n, _SCHRODER_DELTA, _SCHRODER_UNITS, barred):
+        yield SchroderPath(word, variant)
 
 
 def _ncl_arc_sets(n: int) -> Iterator[frozenset[Arc]]:
@@ -129,59 +158,3 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
     found.sort(key=render_partition)
     yield from found
 
-
-_SCHRODER_UNITS = {"U": 1, "F": 2, "D": 1}
-
-
-def _schroder_words(units: int, axis_level: bool) -> Iterator[str]:
-    """Schroeder words spanning the given number of x-units, in text
-    order (D < F < U)."""
-    if units == 0:
-        yield ""
-        return
-    options: dict[tuple[int, int], tuple[str, ...]] = {}
-
-    def steps_from(h: int, r: int) -> tuple[str, ...]:
-        key = (h, r)
-        found = options.get(key)
-        if found is None:
-            out = []
-            if h >= 1:
-                out.append("D")
-            if h <= r - 2 and (axis_level or h > 0):
-                out.append("F")
-            if h + 1 <= r - 1:
-                out.append("U")
-            found = options[key] = tuple(out)
-        return found
-
-    chars: list[str] = []
-    state = [(0, units)]  # (height, units remaining) before each position
-    stack = [iter(steps_from(0, units))]
-    while stack:
-        ch = next(stack[-1], None)
-        if ch is None:
-            stack.pop()
-            if chars:
-                chars.pop()
-                state.pop()
-            continue
-        h, r = state[-1]
-        h += _SCHRODER_DELTA[ch]
-        r -= _SCHRODER_UNITS[ch]
-        if r == 0:
-            yield "".join(chars) + ch
-            continue
-        chars.append(ch)
-        state.append((h, r))
-        stack.append(iter(steps_from(h, r)))
-
-
-def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
-    """All Schroeder paths of half-length n, in text order."""
-    if n < 0:
-        raise ValueError("half-length cannot be negative")
-    if variant not in ("large", "little"):
-        raise ValueError(f"unknown variant {variant!r}")
-    for word in _schroder_words(2 * n, axis_level=variant == "large"):
-        yield SchroderPath(word, variant)

@@ -127,6 +127,12 @@ class BlockCrossing(PartitionError):
 # paths
 
 
+def _check_alphabet(text: str, alphabet: frozenset[str]) -> None:
+    if not alphabet.issuperset(text):
+        bad = next(i for i, c in enumerate(text) if c not in alphabet)
+        raise ParseError(f"unknown step character {text[bad]!r}", bad)
+
+
 @dataclass(frozen=True, eq=False)
 class MotzkinPath:
     """A (3,2)-Motzkin path, stored as its text word.
@@ -138,9 +144,7 @@ class MotzkinPath:
     text: str
 
     def __post_init__(self) -> None:
-        if not _PATH_ALPHABET.issuperset(self.text):
-            bad = next(i for i, c in enumerate(self.text) if c not in _PATH_ALPHABET)
-            raise ParseError(f"unknown step character {self.text[bad]!r}", bad)
+        _check_alphabet(self.text, _PATH_ALPHABET)
 
     def __len__(self) -> int:
         return len(self.text)
@@ -171,17 +175,30 @@ class LargeMotzkinPath(MotzkinPath):
     """A (3,2)-Motzkin path with no axis-level steps of color 3."""
 
 
-def validate_motzkin(word: str | MotzkinPath) -> MotzkinPath:
-    """Check the height profile of a word and wrap it as a path."""
-    text = word.text if isinstance(word, MotzkinPath) else word
-    path = MotzkinPath(text)  # alphabet check, with the offending offset
+def _walk_heights(
+    text: str,
+    delta: dict[str, int],
+    barred: str | None = None,
+    axis_error: type[PathError] | None = None,
+) -> None:
+    """Check that a word over ``delta``'s letters stays weakly above the
+    axis, ends on it, and never takes ``barred`` on it (``axis_error``)."""
     h = 0
     for i, ch in enumerate(text):
-        h += _DELTA[ch]
+        if ch == barred and h == 0:
+            raise axis_error(i)
+        h += delta[ch]
         if h < 0:
             raise NegativeHeight(i)
     if h != 0:
         raise NonzeroFinalHeight(h)
+
+
+def validate_motzkin(word: str | MotzkinPath) -> MotzkinPath:
+    """Check the height profile of a word and wrap it as a path."""
+    text = word.text if isinstance(word, MotzkinPath) else word
+    path = MotzkinPath(text)  # alphabet check, with the offending offset
+    _walk_heights(text, _DELTA)
     return path
 
 
@@ -197,15 +214,7 @@ def validate_large(word: str | MotzkinPath) -> LargeMotzkinPath:
     """
     text = word.text if isinstance(word, MotzkinPath) else word
     path = LargeMotzkinPath(text)
-    h = 0
-    for i, ch in enumerate(text):
-        if ch == "c" and h == 0:
-            raise AxisL3(i)
-        h += _DELTA[ch]
-        if h < 0:
-            raise NegativeHeight(i)
-    if h != 0:
-        raise NonzeroFinalHeight(h)
+    _walk_heights(text, _DELTA, "c", AxisL3)
     return path
 
 
@@ -228,11 +237,7 @@ class SchroderPath:
     variant: str = "large"
 
     def __post_init__(self) -> None:
-        if not _SCHRODER_ALPHABET.issuperset(self.text):
-            bad = next(
-                i for i, c in enumerate(self.text) if c not in _SCHRODER_ALPHABET
-            )
-            raise ParseError(f"unknown step character {self.text[bad]!r}", bad)
+        _check_alphabet(self.text, _SCHRODER_ALPHABET)
         if self.variant not in ("large", "little"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -251,15 +256,8 @@ def validate_schroder(
     """Check a Schroeder word; the little variant bars axis flat steps."""
     text = word.text if isinstance(word, SchroderPath) else word
     path = SchroderPath(text, variant)  # alphabet + variant check
-    h = 0
-    for i, ch in enumerate(text):
-        if ch == "F" and h == 0 and variant == "little":
-            raise AxisF(i)
-        h += _SCHRODER_DELTA[ch]
-        if h < 0:
-            raise NegativeHeight(i)
-    if h != 0:
-        raise NonzeroFinalHeight(h)
+    barred = "F" if variant == "little" else None
+    _walk_heights(text, _SCHRODER_DELTA, barred, AxisF)
     return path
 
 

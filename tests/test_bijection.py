@@ -2,6 +2,7 @@
 
 import pytest
 
+import motzkin_ncl.bijection
 from motzkin_ncl import (
     Arc,
     CaseTag,
@@ -76,6 +77,23 @@ class TestInverse:
     def test_rejects_crossing_input(self):
         with pytest.raises(ValueError):
             partition_to_path("{1,3}{2,4}")
+
+    @pytest.mark.parametrize(
+        "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
+    )
+    def test_validates_once(self, word, monkeypatch):
+        # the recursion works on restrictions of an already valid partition
+        calls = []
+        validate = motzkin_ncl.bijection.validate_ncl
+
+        def counting(p):
+            calls.append(p.n)
+            return validate(p)
+
+        monkeypatch.setattr(motzkin_ncl.bijection, "validate_ncl", counting)
+        q = path_to_partition(word)
+        assert partition_to_path(q).text == word
+        assert calls == [q.n]
 
 
 class TestClassify:

@@ -1,8 +1,10 @@
 """Path factorizations and partition decompositions used by the bijection."""
 
+import time
+
 import pytest
 
-from motzkin_ncl import Arc, parse_partition, validate_large
+from motzkin_ncl import Arc, LinkedPartition, gen_ncl, parse_partition, validate_large
 from motzkin_ncl.decompose import (
     arc_reachable,
     factor_components,
@@ -106,6 +108,27 @@ class TestOuterDecompose:
 
     def test_single_vertex_has_no_components(self):
         assert outer_decompose(parse_partition("{1}")) == ()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_splits_at_the_vertices_inside_no_arc(self, n):
+        for p in gen_ncl(n):
+            points = [
+                v
+                for v in range(1, n + 1)
+                if not any(a < v < b for a, b in p.arcs)
+            ]
+            expected = tuple(
+                restrict_partition(p, lo, hi) for lo, hi in zip(points, points[1:])
+            )
+            assert outer_decompose(p) == expected
+
+    def test_deep_nesting_is_linear(self):
+        n = 40_000
+        p = LinkedPartition(n, [(i, n + 1 - i) for i in range(1, n // 2 + 1)])
+        started = time.perf_counter()
+        (only,) = outer_decompose(p)
+        assert time.perf_counter() - started < 5.0
+        assert only == p
 
 
 class TestArcReachable:

@@ -25,5 +25,9 @@ def test_module_doctests(module):
     failed, attempted = doctest.testmod(module)
     assert failed == 0
     # at least the documented modules carry examples worth running
-    if module in (motzkin_ncl.structures, motzkin_ncl.decompose):
+    if module in (
+        motzkin_ncl.structures,
+        motzkin_ncl.decompose,
+        motzkin_ncl.enumerate,
+    ):
         assert attempted > 0

@@ -3,6 +3,9 @@
 import pytest
 
 from motzkin_ncl import (
+    AxisL3,
+    MotzkinPath,
+    NonzeroFinalHeight,
     double,
     gen_large,
     gen_motzkin32,
@@ -49,6 +52,9 @@ class TestDouble:
     def test_input_must_be_a_valid_path(self):
         with pytest.raises(ValueError):
             double("U", 0)
+        # a path object is only alphabet-checked, so it is walked too
+        with pytest.raises(NonzeroFinalHeight):
+            double(MotzkinPath("U"), 0)
 
 
 class TestProject:
@@ -69,6 +75,8 @@ class TestProject:
     def test_input_must_be_large(self):
         with pytest.raises(ValueError):
             project("c")
+        with pytest.raises(AxisL3):
+            project(MotzkinPath("c"))
 
 
 class TestTwoToOne:

@@ -1,6 +1,6 @@
 """Exhaustive generators checked against tables and brute-force oracles."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -28,6 +28,17 @@ ALPHABET_RANK = {c: i for i, c in enumerate("Uabcxy")}
 
 def path_key(text):
     return [ALPHABET_RANK[c] for c in text]
+
+
+def accepted(validator, words):
+    out = []
+    for w in words:
+        try:
+            validator(w)
+        except ValueError:
+            continue
+        out.append(w)
+    return out
 
 
 class TestPathGenerators:
@@ -60,6 +71,14 @@ class TestPathGenerators:
         assert words == sorted(words, key=path_key)
         large = [p.text for p in gen_large(n)]
         assert large == sorted(large, key=path_key)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_brute_force_filter(self, n):
+        # independent oracle: every word of length n, in text order,
+        # kept when the matching validator accepts it
+        words = ["".join(w) for w in product("Uabcxy", repeat=n)]
+        assert [p.text for p in gen_motzkin32(n)] == accepted(validate_motzkin, words)
+        assert [p.text for p in gen_large(n)] == accepted(validate_large, words)
 
     def test_large_is_a_subfamily(self):
         for n in range(7):
@@ -129,6 +148,20 @@ class TestSchroderGenerator:
         assert [p.text for p in gen_schroder(2, "little")] == [
             "UDUD", "UFD", "UUDD",
         ]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_brute_force_filter(self, n):
+        # every U/F/D word spanning 2n x-units, F counting two
+        words = sorted(
+            "".join(w)
+            for k in range(n, 2 * n + 1)
+            for w in product("DFU", repeat=k)
+            if k + w.count("F") == 2 * n
+        )
+        for variant in ("large", "little"):
+            assert [p.text for p in gen_schroder(n, variant)] == accepted(
+                lambda w: validate_schroder(w, variant), words
+            )
 
     def test_words_are_valid(self):
         for n in range(6):
