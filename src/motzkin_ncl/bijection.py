@@ -47,6 +47,8 @@ from .structures import (
     Arc,
     LargeMotzkinPath,
     LinkedPartition,
+    _unchecked,
+    parse_partition,
     validate_large,
     validate_ncl,
 )
@@ -86,9 +88,7 @@ def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
 
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
-    if not isinstance(path, LargeMotzkinPath):
-        path = validate_large(path)
-    return _word_partition(path.text)
+    return _word_partition(validate_large(path).text)
 
 
 def _word_partition(word: str) -> LinkedPartition:
@@ -151,11 +151,9 @@ def classify_component(component: LinkedPartition) -> CaseTag:
 def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     """Inverse map; the input must be a valid noncrossing linked partition."""
     if isinstance(p, str):
-        from .structures import parse_partition
-
         p = parse_partition(p)
     validate_ncl(p)
-    return LargeMotzkinPath(_partition_word(p))
+    return _unchecked(LargeMotzkinPath, _partition_word(p))
 
 
 def _partition_word(p: LinkedPartition) -> str:

@@ -14,6 +14,7 @@ from .structures import (
     LargeMotzkinPath,
     MotzkinPath,
     _DELTA,
+    _unchecked,
     validate_large,
     validate_motzkin,
 )
@@ -23,26 +24,18 @@ _CLOSING_DOWN = {0: "x", 1: "y"}
 _BIT_OF = {"a": 0, "b": 1, "x": 0, "y": 1}
 
 
-def _first_axis_l3(text: str) -> int | None:
-    h = 0
-    for i, ch in enumerate(text):
-        if ch == "c" and h == 0:
-            return i
-        h += _DELTA[ch]
-    return None
-
-
 def double(path: MotzkinPath | str, bit: int) -> LargeMotzkinPath:
     """Send a plain path of length n-1 and a bit to a large path of length n."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     text = validate_motzkin(path).text
-    cut = _first_axis_l3(text)
-    if cut is None:
-        return LargeMotzkinPath(text + _AXIS_LEVEL[bit])
-    return LargeMotzkinPath(
-        text[:cut] + "U" + text[cut + 1 :] + _CLOSING_DOWN[bit]
-    )
+    h = 0
+    for cut, ch in enumerate(text):
+        if ch == "c" and h == 0:  # the first axis-level color-3 step
+            word = text[:cut] + "U" + text[cut + 1 :] + _CLOSING_DOWN[bit]
+            return _unchecked(LargeMotzkinPath, word)
+        h += _DELTA[ch]
+    return _unchecked(LargeMotzkinPath, text + _AXIS_LEVEL[bit])
 
 
 def project(path: LargeMotzkinPath | str) -> tuple[MotzkinPath, int]:
@@ -58,17 +51,13 @@ def project(path: LargeMotzkinPath | str) -> tuple[MotzkinPath, int]:
         raise ValueError("the empty path is not in the image of double")
     last = text[-1]
     if last in "ab":
-        return MotzkinPath(text[:-1]), _BIT_OF[last]
-    # last step closes the final elevated component; find its opening up
-    # step, the last climb off the axis
+        return _unchecked(MotzkinPath, text[:-1]), _BIT_OF[last]
+    # last step closes the final elevated component; walk back to its
+    # opening up step, where the height before the step is 0 again
     h = 0
-    opening = -1
-    for i, ch in enumerate(text):
-        previous = h
-        h += _DELTA[ch]
-        if previous == 0 and h == 1:
-            opening = i
-    return (
-        MotzkinPath(text[:opening] + "c" + text[opening + 1 : -1]),
-        _BIT_OF[last],
-    )
+    for opening in range(len(text) - 1, -1, -1):
+        h -= _DELTA[text[opening]]
+        if h == 0:
+            break
+    word = text[:opening] + "c" + text[opening + 1 : -1]
+    return _unchecked(MotzkinPath, word), _BIT_OF[last]

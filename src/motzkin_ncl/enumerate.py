@@ -35,6 +35,8 @@ from .structures import (
     SchroderPath,
     _DELTA,
     _SCHRODER_DELTA,
+    _schroder_barred,
+    _unchecked,
     render_partition,
 )
 
@@ -95,7 +97,7 @@ def gen_motzkin32(n: int) -> Iterator[MotzkinPath]:
     if n < 0:
         raise ValueError("path length cannot be negative")
     for word in _words(n, _DELTA, _MOTZKIN_UNITS):
-        yield MotzkinPath(word)
+        yield _unchecked(MotzkinPath, word)
 
 
 def gen_large(n: int) -> Iterator[LargeMotzkinPath]:
@@ -103,18 +105,16 @@ def gen_large(n: int) -> Iterator[LargeMotzkinPath]:
     if n < 0:
         raise ValueError("path length cannot be negative")
     for word in _words(n, _DELTA, _MOTZKIN_UNITS, barred="c"):
-        yield LargeMotzkinPath(word)
+        yield _unchecked(LargeMotzkinPath, word)
 
 
 def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
     """All Schroeder paths of half-length n, in text order."""
     if n < 0:
         raise ValueError("half-length cannot be negative")
-    if variant not in ("large", "little"):
-        raise ValueError(f"unknown variant {variant!r}")
-    barred = "F" if variant == "little" else None
+    barred = _schroder_barred(variant)
     for word in _words(2 * n, _SCHRODER_DELTA, _SCHRODER_UNITS, barred):
-        yield SchroderPath(word, variant)
+        yield _unchecked(SchroderPath, word, variant=variant)
 
 
 def _ncl_arc_sets(n: int) -> Iterator[frozenset[Arc]]:

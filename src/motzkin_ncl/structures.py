@@ -25,16 +25,18 @@ The objects handled by this package:
   exactly when no vertex is the right endpoint of two arcs and no two
   arcs cross.
 
-A path is its text word: :class:`MotzkinPath` only wraps the string,
-and the other modules take words apart with string operations.  All
-types are immutable values.  Validity is established by the
-``validate_*`` functions, not by construction; constructors only check
-cheap well-formedness (alphabet membership, arc bounds).
+A path is its text word, and the other modules take words apart with
+string operations.  All types are immutable values.  Path constructors
+check the alphabet and then the heights, so a path object is proof of
+its validity; producers whose words are valid by construction skip the
+check through :func:`_unchecked`.  :class:`LinkedPartition` checks only
+arc bounds, so that the validators can still see invalid arc sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 _DIGITS = frozenset("0123456789")
@@ -133,18 +135,26 @@ def _check_alphabet(text: str, alphabet: frozenset[str]) -> None:
         raise ParseError(f"unknown step character {text[bad]!r}", bad)
 
 
+def _unchecked(cls, text: str, **fields):
+    """A path object of ``cls`` built without any check; only for
+    producers whose words are valid by construction."""
+    path = object.__new__(cls)
+    path.__dict__.update(fields, text=text)  # frozen: bypass __setattr__
+    return path
+
+
 @dataclass(frozen=True, eq=False)
 class MotzkinPath:
-    """A (3,2)-Motzkin path, stored as its text word.
-
-    Construction checks only the alphabet; use :func:`validate_motzkin`
-    to establish that the word really is a path.
+    """A (3,2)-Motzkin path, stored as its text word.  Construction
+    checks the alphabet and then the heights, so every object is valid.
     """
 
     text: str
+    _barred, _axis_error = None, None  # the letter the axis bars, its error
 
     def __post_init__(self) -> None:
         _check_alphabet(self.text, _PATH_ALPHABET)
+        _walk_heights(self.text, _DELTA, self._barred, self._axis_error)
 
     def __len__(self) -> int:
         return len(self.text)
@@ -163,16 +173,19 @@ class MotzkinPath:
 
     def heights(self) -> tuple[int, ...]:
         """Running height after each step."""
-        out = []
-        h = 0
-        for ch in self.text:
-            h += _DELTA[ch]
-            out.append(h)
-        return tuple(out)
+        return tuple(accumulate(_DELTA[ch] for ch in self.text))
 
 
 class LargeMotzkinPath(MotzkinPath):
-    """A (3,2)-Motzkin path with no axis-level steps of color 3."""
+    """A (3,2)-Motzkin path with no axis-level steps of color 3.
+
+    >>> LargeMotzkinPath("c")
+    Traceback (most recent call last):
+    ...
+    motzkin_ncl.structures.AxisL3: level color 3 on the axis at step 0
+    """
+
+    _barred, _axis_error = "c", AxisL3
 
 
 def _walk_heights(
@@ -195,15 +208,13 @@ def _walk_heights(
 
 
 def validate_motzkin(word: str | MotzkinPath) -> MotzkinPath:
-    """Check the height profile of a word and wrap it as a path."""
-    text = word.text if isinstance(word, MotzkinPath) else word
-    path = MotzkinPath(text)  # alphabet check, with the offending offset
-    _walk_heights(text, _DELTA)
-    return path
+    """Wrap a word as a path; a path object is valid already."""
+    return word if isinstance(word, MotzkinPath) else MotzkinPath(word)
 
 
 def validate_large(word: str | MotzkinPath) -> LargeMotzkinPath:
-    """Like :func:`validate_motzkin`, also rejecting color 3 on the axis.
+    """Like :func:`validate_motzkin`, also rejecting color 3 on the axis;
+    a plain path object is checked again as a large one.
 
     >>> validate_large("Ubx").heights()
     (1, 1, 0)
@@ -212,10 +223,7 @@ def validate_large(word: str | MotzkinPath) -> LargeMotzkinPath:
     ...
     motzkin_ncl.structures.ParseError: unknown step character 'q' (offset 1)
     """
-    text = word.text if isinstance(word, MotzkinPath) else word
-    path = LargeMotzkinPath(text)
-    _walk_heights(text, _DELTA, "c", AxisL3)
-    return path
+    return word if isinstance(word, LargeMotzkinPath) else LargeMotzkinPath(str(word))
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +233,20 @@ _SCHRODER_ALPHABET = frozenset("UFD")
 _SCHRODER_DELTA = {"U": 1, "F": 0, "D": -1}
 
 
+def _schroder_barred(variant: str) -> str | None:
+    """The letter that ``variant`` bars from the axis."""
+    if variant not in ("large", "little"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return "F" if variant == "little" else None
+
+
 @dataclass(frozen=True)
 class SchroderPath:
     """A Schroeder path; ``F`` steps span two x-units.
 
     ``variant`` is ``"large"`` or ``"little"``; the little family has no
-    ``F`` step on the axis.
+    ``F`` step on the axis.  Construction checks the alphabet, the
+    variant and then the heights under that variant's rule.
     """
 
     text: str
@@ -238,8 +254,7 @@ class SchroderPath:
 
     def __post_init__(self) -> None:
         _check_alphabet(self.text, _SCHRODER_ALPHABET)
-        if self.variant not in ("large", "little"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        _walk_heights(self.text, _SCHRODER_DELTA, _schroder_barred(self.variant), AxisF)
 
     def __str__(self) -> str:
         return self.text
@@ -250,15 +265,12 @@ class SchroderPath:
         return sum(1 for c in self.text if c != "D")
 
 
-def validate_schroder(
-    word: str | SchroderPath, variant: str = "large"
-) -> SchroderPath:
-    """Check a Schroeder word; the little variant bars axis flat steps."""
-    text = word.text if isinstance(word, SchroderPath) else word
-    path = SchroderPath(text, variant)  # alphabet + variant check
-    barred = "F" if variant == "little" else None
-    _walk_heights(text, _SCHRODER_DELTA, barred, AxisF)
-    return path
+def validate_schroder(word: str | SchroderPath, variant: str = "large") -> SchroderPath:
+    """Check a Schroeder word under ``variant``, which bars axis flat
+    steps when little; an object of that variant is valid already."""
+    if isinstance(word, SchroderPath) and word.variant == variant:
+        return word
+    return SchroderPath(str(word), variant)
 
 
 # ---------------------------------------------------------------------------

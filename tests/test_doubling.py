@@ -52,9 +52,9 @@ class TestDouble:
     def test_input_must_be_a_valid_path(self):
         with pytest.raises(ValueError):
             double("U", 0)
-        # a path object is only alphabet-checked, so it is walked too
+        # an invalid word cannot become a path object to begin with
         with pytest.raises(NonzeroFinalHeight):
-            double(MotzkinPath("U"), 0)
+            MotzkinPath("U")
 
 
 class TestProject:

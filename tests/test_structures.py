@@ -19,6 +19,7 @@ from motzkin_ncl import (
     NonzeroFinalHeight,
     ParseError,
     PartitionError,
+    SchroderPath,
     blocks_of,
     parse_partition,
     render_ascii,
@@ -40,7 +41,7 @@ class TestSteps:
 
     def test_parse_render_round_trip(self):
         # every letter of the alphabet reads in and prints back unchanged
-        assert str(MotzkinPath("UabcxyUx")) == "UabcxyUx"
+        assert str(MotzkinPath("UabcxUy")) == "UabcxUy"
 
     def test_parse_rejects_unknown_character(self):
         with pytest.raises(ParseError) as info:
@@ -102,11 +103,16 @@ class TestMotzkinValidation:
         assert validate_large("Ux") == validate_motzkin("Ux")
         assert hash(validate_large("Ux")) == hash(MotzkinPath("Ux"))
 
-    def test_constructor_checks_alphabet_only(self):
-        # validity is the validators' job, construction just checks characters
-        assert MotzkinPath("xx").text == "xx"
-        with pytest.raises(ParseError):
+    def test_constructor_rejects_invalid_words(self):
+        # a path object is proof of validity: construction walks the heights
+        with pytest.raises(NegativeHeight):
+            MotzkinPath("xx")
+        with pytest.raises(AxisL3):
+            LargeMotzkinPath("c")
+        # the alphabet is still checked first, before any height error
+        with pytest.raises(ParseError) as info:
             MotzkinPath("U?x")
+        assert info.value.offset == 1
 
 
 class TestSchroder:
@@ -130,6 +136,17 @@ class TestSchroder:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             validate_schroder("", "medium")
+
+    def test_constructor_applies_its_own_variant(self):
+        with pytest.raises(AxisF) as info:
+            SchroderPath("F", "little")
+        assert info.value.position == 0
+
+    def test_validator_checks_objects_against_the_requested_variant(self):
+        with pytest.raises(AxisF):
+            validate_schroder(SchroderPath("F"), "little")
+        little = SchroderPath("UFD", "little")
+        assert validate_schroder(little, "little") is little
 
 
 class TestLinkedPartition:
