@@ -3,7 +3,9 @@ noncrossing linked partitions of {1..n+1}.
 
 Both directions work on text words and validate their input once: the
 forward map then recurses on slices of the word, and the inverse
-assembles the word from the components of its partition.
+assembles the word from the components of its partition.  Every
+partition built on the way is in range by construction, so it skips the
+public constructor's normalisation.
 
 Forward direction, component by component.  An axis level step of color
 1 becomes the two-vertex block {1,2}; color 2 becomes two singletons.
@@ -78,12 +80,12 @@ def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
     """
     if not parts:
         raise ValueError("concat_merge needs at least one part")
-    arcs = []
-    offset = 0
-    for part in parts:
-        arcs.extend(Arc(a + offset, b + offset) for a, b in part.arcs)
+    arcs = set(parts[0].arcs)
+    offset = parts[0].n - 1
+    for part in parts[1:]:
+        arcs.update(Arc(a + offset, b + offset) for a, b in part.arcs)
         offset += part.n - 1
-    return LinkedPartition(offset + 1, frozenset(arcs))
+    return _unchecked(LinkedPartition, n=offset + 1, arcs=frozenset(arcs))
 
 
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
@@ -94,39 +96,42 @@ def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
 def _word_partition(word: str) -> LinkedPartition:
     components = factor_components(word)
     if not components:
-        return LinkedPartition(1)
+        return _unchecked(LinkedPartition, n=1, arcs=frozenset())
     return concat_merge([_component_partition(c) for c in components])
 
 
 def _component_partition(component: str) -> LinkedPartition:
     if component == "a":
-        return LinkedPartition(2, {(1, 2)})
+        return _unchecked(LinkedPartition, n=2, arcs=frozenset({Arc(1, 2)}))
     if component == "b":
-        return LinkedPartition(2)
+        return _unchecked(LinkedPartition, n=2, arcs=frozenset())
     segments = split_axis_l3(component[1:-1])
     p = len(component)
     if component[-1] == "x":
         if len(segments) == 1:
             interior = _word_partition(segments[0])  # on 1..p-1
-            return LinkedPartition(p + 1, interior.arcs | {(1, p), (1, p + 1)})
-        chained = concat_merge([_tied_segment(s) for s in segments])  # on 1..p
-        return LinkedPartition(p + 1, chained.arcs | {(1, p + 1)})
-    if len(segments) == 1:
+            arcs = interior.arcs | {Arc(1, p), Arc(1, p + 1)}
+        else:
+            chained = concat_merge([_tied_segment(s) for s in segments])  # on 1..p
+            arcs = chained.arcs | {Arc(1, p + 1)}
+    elif len(segments) == 1:
         interior = _word_partition(segments[0])  # on 1..p-1, p stays free
-        return LinkedPartition(p + 1, interior.arcs | {(1, p + 1)})
-    head = _word_partition(segments[0])  # on 1..t1+1
-    tail = concat_merge([_tied_segment(s) for s in segments[1:]])
-    shift = head.n  # tail occupies t1+2..p, one past the head
-    arcs = set(head.arcs)
-    arcs.update(Arc(a + shift, b + shift) for a, b in tail.arcs)
-    arcs.add(Arc(1, p + 1))
-    return LinkedPartition(p + 1, arcs)
+        arcs = interior.arcs | {Arc(1, p + 1)}
+    else:
+        head = _word_partition(segments[0])  # on 1..t1+1
+        tail = concat_merge([_tied_segment(s) for s in segments[1:]])
+        shift = head.n  # tail occupies t1+2..p, one past the head
+        arcs = set(head.arcs)
+        arcs.update(Arc(a + shift, b + shift) for a, b in tail.arcs)
+        arcs.add(Arc(1, p + 1))
+    return _unchecked(LinkedPartition, n=p + 1, arcs=frozenset(arcs))
 
 
 def _tied_segment(segment: str) -> LinkedPartition:
     """A segment's partition plus the arc tying vertex 1 one past its end."""
     base = _word_partition(segment)
-    return LinkedPartition(base.n + 1, base.arcs | {(1, base.n + 1)})
+    end = base.n + 1
+    return _unchecked(LinkedPartition, n=end, arcs=base.arcs | {Arc(1, end)})
 
 
 def classify_component(component: LinkedPartition) -> CaseTag:
@@ -153,7 +158,7 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         p = parse_partition(p)
     validate_ncl(p)
-    return _unchecked(LargeMotzkinPath, _partition_word(p))
+    return _unchecked(LargeMotzkinPath, text=_partition_word(p))
 
 
 def _partition_word(p: LinkedPartition) -> str:

@@ -24,6 +24,7 @@ from .structures import (
     LinkedPartition,
     NegativeHeight,
     NonzeroFinalHeight,
+    _unchecked,
 )
 
 
@@ -85,11 +86,11 @@ def split_axis_l3(text: str) -> tuple[str, ...]:
 
 
 def restrict_partition(p: LinkedPartition, lo: int, hi: int) -> LinkedPartition:
-    """Arcs lying inside [lo, hi], relabeled to 1..hi-lo+1."""
+    """Arcs lying inside [lo, hi], relabeled to 1..hi-lo+1; needs lo <= hi."""
     arcs = [
         Arc(a - lo + 1, b - lo + 1) for a, b in p.arcs if lo <= a and b <= hi
     ]
-    return LinkedPartition(hi - lo + 1, frozenset(arcs))
+    return _unchecked(LinkedPartition, n=hi - lo + 1, arcs=frozenset(arcs))
 
 
 def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
@@ -113,8 +114,9 @@ def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
     start, reach, arcs = 1, 0, []
     for v in range(1, p.n + 1):
         if reach <= v and v > start:  # v closes the component at start
-            components.append(LinkedPartition(v - start + 1, frozenset(arcs)))
-            start, arcs = v, []
+            size, start = v - start + 1, v
+            components.append(_unchecked(LinkedPartition, n=size, arcs=frozenset(arcs)))
+            arcs = []
         for b in outgoing[v]:
             arcs.append(Arc(v - start + 1, b - start + 1))
             reach = max(reach, b)

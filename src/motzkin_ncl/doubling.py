@@ -33,9 +33,9 @@ def double(path: MotzkinPath | str, bit: int) -> LargeMotzkinPath:
     for cut, ch in enumerate(text):
         if ch == "c" and h == 0:  # the first axis-level color-3 step
             word = text[:cut] + "U" + text[cut + 1 :] + _CLOSING_DOWN[bit]
-            return _unchecked(LargeMotzkinPath, word)
+            return _unchecked(LargeMotzkinPath, text=word)
         h += _DELTA[ch]
-    return _unchecked(LargeMotzkinPath, text + _AXIS_LEVEL[bit])
+    return _unchecked(LargeMotzkinPath, text=text + _AXIS_LEVEL[bit])
 
 
 def project(path: LargeMotzkinPath | str) -> tuple[MotzkinPath, int]:
@@ -51,7 +51,7 @@ def project(path: LargeMotzkinPath | str) -> tuple[MotzkinPath, int]:
         raise ValueError("the empty path is not in the image of double")
     last = text[-1]
     if last in "ab":
-        return _unchecked(MotzkinPath, text[:-1]), _BIT_OF[last]
+        return _unchecked(MotzkinPath, text=text[:-1]), _BIT_OF[last]
     # last step closes the final elevated component; walk back to its
     # opening up step, where the height before the step is 0 again
     h = 0
@@ -60,4 +60,4 @@ def project(path: LargeMotzkinPath | str) -> tuple[MotzkinPath, int]:
         if h == 0:
             break
     word = text[:opening] + "c" + text[opening + 1 : -1]
-    return _unchecked(MotzkinPath, word), _BIT_OF[last]
+    return _unchecked(MotzkinPath, text=word), _BIT_OF[last]

@@ -18,9 +18,12 @@ letters in sorted order makes each stream lazy and sorted by text.
 >>> [p.text for p in gen_schroder(2, "little")]
 ['UDUD', 'UFD', 'UUDD']
 
-The partition stream backtracks over arc placements (left endpoints in
-increasing order, pruning on in-degree and crossings) and sorts the
-results into canonical text order; it never consults the bijection.
+The partition stream backtracks over arc placements, left endpoints in
+increasing order, and sorts the results into canonical text order; it
+never consults the bijection.  No vertex is the right end of two arcs.
+Earlier arcs start left of v, so a new arc (v, e) crosses one exactly
+when it is open over v (a < v < b) and ends before e; those arcs nest,
+so e stops at the right end of the innermost one, found once per vertex.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def gen_motzkin32(n: int) -> Iterator[MotzkinPath]:
     if n < 0:
         raise ValueError("path length cannot be negative")
     for word in _words(n, _DELTA, _MOTZKIN_UNITS):
-        yield _unchecked(MotzkinPath, word)
+        yield _unchecked(MotzkinPath, text=word)
 
 
 def gen_large(n: int) -> Iterator[LargeMotzkinPath]:
@@ -105,7 +108,7 @@ def gen_large(n: int) -> Iterator[LargeMotzkinPath]:
     if n < 0:
         raise ValueError("path length cannot be negative")
     for word in _words(n, _DELTA, _MOTZKIN_UNITS, barred="c"):
-        yield _unchecked(LargeMotzkinPath, word)
+        yield _unchecked(LargeMotzkinPath, text=word)
 
 
 def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
@@ -114,7 +117,7 @@ def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
         raise ValueError("half-length cannot be negative")
     barred = _schroder_barred(variant)
     for word in _words(2 * n, _SCHRODER_DELTA, _SCHRODER_UNITS, barred):
-        yield _unchecked(SchroderPath, word, variant=variant)
+        yield _unchecked(SchroderPath, text=word, variant=variant)
 
 
 def _ncl_arc_sets(n: int) -> Iterator[frozenset[Arc]]:
@@ -128,20 +131,18 @@ def _ncl_arc_sets(n: int) -> Iterator[frozenset[Arc]]:
             yield frozenset(arcs)
             return
         yield from place(v + 1)  # no outgoing arcs at v
-        yield from grow(v, v)
+        # an arc from v may end no later than the innermost arc open over v
+        bound = min((b for a, b in arcs if a < v < b), default=n)
+        yield from grow(v, v, bound)
 
-    def grow(v: int, last: int) -> Iterator[frozenset[Arc]]:
-        for e in range(last + 1, n + 1):
+    def grow(v: int, last: int, bound: int) -> Iterator[frozenset[Arc]]:
+        for e in range(last + 1, bound + 1):
             if taken[e]:
-                continue
-            # earlier arcs all start at or left of v, so only one
-            # crossing pattern is possible
-            if any(a < v < b < e for a, b in arcs):
                 continue
             arcs.append(Arc(v, e))
             taken[e] = True
             yield from place(v + 1)
-            yield from grow(v, e)
+            yield from grow(v, e, bound)
             arcs.pop()
             taken[e] = False
 
@@ -154,7 +155,7 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
     bijection."""
     if n < 1:
         raise ValueError("partitions need at least one vertex")
-    found = [LinkedPartition(n, arcs) for arcs in _ncl_arc_sets(n)]
-    found.sort(key=render_partition)
+    found = [_unchecked(LinkedPartition, n=n, arcs=arcs) for arcs in _ncl_arc_sets(n)]
+    found.sort(key=render_partition)  # each partition keeps its text
     yield from found
 

@@ -28,14 +28,17 @@ The objects handled by this package:
 A path is its text word, and the other modules take words apart with
 string operations.  All types are immutable values.  Path constructors
 check the alphabet and then the heights, so a path object is proof of
-its validity; producers whose words are valid by construction skip the
-check through :func:`_unchecked`.  :class:`LinkedPartition` checks only
-arc bounds, so that the validators can still see invalid arc sets.
+its validity.  The public :class:`LinkedPartition` constructor
+normalises its arcs to :class:`Arc` and checks their bounds only, so
+that the validators can still see invalid arc sets.  Producers whose
+output is valid (a path) or in range (a partition) by construction skip
+those steps through the one private :func:`_unchecked`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -135,12 +138,13 @@ def _check_alphabet(text: str, alphabet: frozenset[str]) -> None:
         raise ParseError(f"unknown step character {text[bad]!r}", bad)
 
 
-def _unchecked(cls, text: str, **fields):
-    """A path object of ``cls`` built without any check; only for
-    producers whose words are valid by construction."""
-    path = object.__new__(cls)
-    path.__dict__.update(fields, text=text)  # frozen: bypass __setattr__
-    return path
+def _unchecked(cls, **fields):
+    """An object of ``cls`` built from ``fields`` with no check or
+    normalisation; only for producers whose output is valid by
+    construction (a partition: a frozenset of in-range :class:`Arc`)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # frozen: bypass __setattr__
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,10 +292,12 @@ class Arc(NamedTuple):
 class LinkedPartition:
     """An arc diagram on the vertices 1..n.
 
-    Any iterable of (left, right) pairs is accepted and normalized to a
-    frozenset of :class:`Arc`.  Bounds (1 <= left < right <= n) are
-    enforced here; the partition predicates (in-degree, noncrossing) are
-    the validators' job.
+    The public constructor accepts any iterable of (left, right) pairs,
+    normalises it to a frozenset of :class:`Arc` and enforces the bounds
+    1 <= left < right <= n.  The partition predicates (in-degree,
+    noncrossing) are the validators' job, so invalid arc sets still
+    build.  Producers whose arcs are in range by construction hand a
+    frozenset of :class:`Arc` to :func:`_unchecked` instead.
     """
 
     n: int
@@ -310,6 +316,10 @@ class LinkedPartition:
 
     def __str__(self) -> str:
         return render_partition(self)
+
+    @cached_property
+    def _text(self) -> str:  # render_partition's result, made once
+        return "".join("{" + ",".join(map(str, b)) + "}" for b in blocks_of(self))
 
 
 def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
@@ -334,10 +344,9 @@ def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
 
 
 def render_partition(p: LinkedPartition) -> str:
-    """Canonical text: blocks by increasing minimum, elements ascending."""
-    return "".join(
-        "{" + ",".join(str(v) for v in block) + "}" for block in blocks_of(p)
-    )
+    """Canonical text: blocks by increasing minimum, elements ascending.
+    Each object renders once and keeps its text."""
+    return p._text
 
 
 def _read_label(text: str, i: int) -> tuple[int, int]:
@@ -403,9 +412,8 @@ def parse_partition(text: str) -> LinkedPartition:
     ):
         first, second = _first_clash(ordered)
         raise NearlyDisjointViolation(ordered[first], ordered[second])
-    return LinkedPartition(
-        n, frozenset(Arc(block[0], v) for block in ordered for v in block[1:])
-    )
+    arcs = frozenset(Arc(block[0], v) for block in ordered for v in block[1:])
+    return _unchecked(LinkedPartition, n=n, arcs=arcs)
 
 
 def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[int, int]:

@@ -40,7 +40,7 @@ class TestDouble:
         for n in range(6):
             for q in gen_motzkin32(n):
                 for bit in (0, 1):
-                    validate_large(double(q, bit))
+                    validate_large(double(q, bit).text)
 
     def test_lengths_grow_by_one(self):
         assert len(double("cbc", 0)) == 4
@@ -66,7 +66,9 @@ class TestProject:
     def test_projected_path_is_plain_not_large(self):
         q, _ = project("Ux")
         assert q.text == "c"
-        validate_motzkin(q)
+        validate_motzkin(q.text)
+        with pytest.raises(AxisL3):
+            validate_large(q.text)
 
     def test_empty_path_has_no_preimage(self):
         with pytest.raises(ValueError):

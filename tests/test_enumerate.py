@@ -59,11 +59,11 @@ class TestPathGenerators:
         seen = set()
         for p in gen_large(n):
             assert isinstance(p, LargeMotzkinPath)
-            validate_large(p)
+            validate_large(p.text)
             assert p.text not in seen
             seen.add(p.text)
         for p in gen_motzkin32(n):
-            validate_motzkin(p)
+            validate_motzkin(p.text)
 
     @pytest.mark.parametrize("n", range(7))
     def test_lexicographic_order(self, n):
@@ -110,7 +110,7 @@ class TestNclGenerator:
     def test_counts_match_table(self, n):
         assert sum(1 for _ in gen_ncl(n)) == ncl_counts(n)[n]
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force_filter(self, n):
         # independent oracle: test every arc subset against the validator
         pairs = list(combinations(range(1, n + 1), 2))

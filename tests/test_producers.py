@@ -1,15 +1,20 @@
-"""Producers that skip the path constructors' checks emit valid paths.
+"""Producers that skip the public constructors' checks emit valid objects.
 
 The generators, the doubling pair and the inverse bijection build their
 path objects without walking them, because their words are valid by
-construction.  Nothing downstream checks those objects again, so here
-every one is rebuilt through its public, checking constructor.
+construction.  Likewise the partition producers (the parser, the forward
+bijection, the decompositions and the partition generator) hand over
+arcs that are in range by construction, without normalising them.
+Nothing downstream checks those objects again, so here every one is
+rebuilt through its public, checking constructor.
 """
 
 import pytest
 
 from motzkin_ncl import (
+    Arc,
     LargeMotzkinPath,
+    LinkedPartition,
     MotzkinPath,
     SchroderPath,
     double,
@@ -17,14 +22,26 @@ from motzkin_ncl import (
     gen_motzkin32,
     gen_ncl,
     gen_schroder,
+    parse_partition,
     partition_to_path,
+    path_to_partition,
     project,
+    render_partition,
 )
+from motzkin_ncl.decompose import outer_decompose, restrict_partition
 
 
 def assert_rebuilds(obj, cls, *args):
     assert type(obj) is cls
     assert cls(obj.text, *args) == obj
+
+
+def assert_partition_rebuilds(q):
+    # equality alone would accept plain tuples and mutable sets
+    assert type(q) is LinkedPartition and type(q.arcs) is frozenset
+    for arc in q.arcs:
+        assert type(arc) is Arc and 1 <= arc.left < arc.right <= q.n
+    assert LinkedPartition(q.n, q.arcs) == q
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -56,3 +73,22 @@ def test_doubling_pair(n):
 def test_inverse_bijection(n):
     for q in gen_ncl(n):
         assert_rebuilds(partition_to_path(q), LargeMotzkinPath)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partition_generator_and_decompositions(n):
+    for q in gen_ncl(n):
+        assert_partition_rebuilds(q)
+        for piece in outer_decompose(q):
+            assert_partition_rebuilds(piece)
+        for lo in range(1, n + 1):
+            for hi in range(lo, n + 1):
+                assert_partition_rebuilds(restrict_partition(q, lo, hi))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_forward_bijection_and_parser(n):
+    for p in gen_large(n):
+        q = path_to_partition(p)
+        assert_partition_rebuilds(q)
+        assert_partition_rebuilds(parse_partition(render_partition(q)))
