@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Callable, Iterator
 
 from .bijection import path_to_partition, partition_to_path
@@ -234,97 +234,75 @@ class SuiteResult:
     counterexample: str | None = None
 
 
-def _result(name, scope, checked, passed, started, counterexample=None):
+def run_suite(name: str, scope: str, checks: Iterator[str | None]) -> SuiteResult:
+    """Time one suite and stop at its first counterexample.
+
+    A suite yields ``None`` for each object that passes its check and a
+    counterexample string for one that fails; ``checked`` counts the
+    objects that passed before the first counterexample.
+    """
+    started = time.perf_counter()
+    checked = 0
+    counterexample = None
+    for counterexample in checks:
+        if counterexample is not None:
+            break
+        checked += 1
+    elapsed = time.perf_counter() - started
     return SuiteResult(
-        name, scope, checked, passed, time.perf_counter() - started, counterexample
+        name, scope, checked, counterexample is None, elapsed, counterexample
     )
 
 
-def suite_bijectivity(max_n: int) -> SuiteResult:
+def suite_bijectivity(max_n: int) -> Iterator[str | None]:
     """Image of the path map = independently generated partitions."""
-    started = time.perf_counter()
-    checked = 0
     for n in range(max_n + 1):
         image: dict[str, str] = {}
         for path in gen_large(n):
             text = render_partition(path_to_partition(path))
             if text in image:
-                return _result(
-                    "bijectivity", f"n<={max_n}", checked, False, started,
-                    f"{image[text]!r} and {path.text!r} both map to {text}",
-                )
-            image[text] = path.text
-            checked += 1
+                yield f"{image[text]!r} and {path.text!r} both map to {text}"
+            else:
+                image[text] = path.text
+                yield None
         oracle = {render_partition(q) for q in gen_ncl(n + 1)}
         if set(image) != oracle:
             witness = sorted(set(image) ^ oracle)[0]
             side = "missing from image" if witness in oracle else "not a partition"
-            return _result(
-                "bijectivity", f"n<={max_n}", checked, False, started,
-                f"{witness} ({side}, n={n})",
-            )
-    return _result("bijectivity", f"n<={max_n}", checked, True, started)
+            yield f"{witness} ({side}, n={n})"
 
 
-def suite_round_trip(max_n: int) -> SuiteResult:
+def suite_round_trip(max_n: int) -> Iterator[str | None]:
     """Both compositions are the identity, exhaustively."""
-    started = time.perf_counter()
-    checked = 0
     for n in range(max_n + 1):
         for path in gen_large(n):
-            if partition_to_path(path_to_partition(path)) != path:
-                return _result(
-                    "round-trip", f"n<={max_n}", checked, False, started, path.text
-                )
-            checked += 1
+            back = partition_to_path(path_to_partition(path))
+            yield None if back == path else path.text
         for q in gen_ncl(n + 1):
-            if path_to_partition(partition_to_path(q)) != q:
-                return _result(
-                    "round-trip", f"n<={max_n}", checked, False, started,
-                    render_partition(q),
-                )
-            checked += 1
-    return _result("round-trip", f"n<={max_n}", checked, True, started)
+            back = path_to_partition(partition_to_path(q))
+            yield None if back == q else render_partition(q)
 
 
-def suite_doubling(max_n: int) -> SuiteResult:
+def suite_doubling(max_n: int) -> Iterator[str | None]:
     """The doubling map is a bijection paths x bits -> large paths."""
-    started = time.perf_counter()
-    checked = 0
     m = motzkin32_numbers(max(max_n - 1, 0))
     large = large_motzkin_numbers(max_n)
     for n in range(1, max_n + 1):
         seen = 0
         for path in gen_large(n):
-            q, bit = project(path)
-            if double(q, bit) != path:
-                return _result(
-                    "doubling", f"n<={max_n}", checked, False, started, path.text
-                )
+            yield None if double(*project(path)) == path else path.text
             seen += 1
-            checked += 1
         if seen != large[n] or seen != 2 * m[n - 1]:
-            return _result(
-                "doubling", f"n<={max_n}", checked, False, started,
-                f"count mismatch at n={n}: {seen} large paths",
-            )
+            yield f"count mismatch at n={n}: {seen} large paths"
         for q in gen_motzkin32(n - 1):
             for bit in (0, 1):
-                if project(double(q, bit)) != (q, bit):
-                    return _result(
-                        "doubling", f"n<={max_n}", checked, False, started,
-                        f"{q.text!r} with bit {bit}",
-                    )
-                checked += 1
-    return _result("doubling", f"n<={max_n}", checked, True, started)
+                back = project(double(q, bit))
+                yield None if back == (q, bit) else f"{q.text!r} with bit {bit}"
 
 
-def suite_validator_equivalence(max_n: int) -> SuiteResult:
+def suite_validator_equivalence(max_n: int) -> Iterator[str | None]:
     """Arc-level and block-level validators agree on every arc set."""
-    started = time.perf_counter()
-    bound = min(max_n, 6)  # 2^C(n,2) subsets; 6 keeps this exhaustive yet quick
-    checked = 0
-    for n in range(1, bound + 1):
+    for n in range(1, max_n + 1):
         pairs = list(combinations(range(1, n + 1), 2))
         for mask in range(2 ** len(pairs)):
             arcs = frozenset(
@@ -333,15 +311,14 @@ def suite_validator_equivalence(max_n: int) -> SuiteResult:
             p = LinkedPartition(n, arcs)
             by_arcs = _accepts(validate_ncl, p)
             by_blocks = _accepts(validate_ncl_blockwise, p)
-            checked += 1
-            if by_arcs != by_blocks:
+            if by_arcs == by_blocks:
+                yield None
+            else:
                 arcs_text = ",".join(f"({a},{b})" for a, b in sorted(arcs))
-                return _result(
-                    "validator-equivalence", f"n<={bound}", checked, False, started,
+                yield (
                     f"n={n} arcs {arcs_text}: arc-level {by_arcs}, "
-                    f"block-level {by_blocks}",
+                    f"block-level {by_blocks}"
                 )
-    return _result("validator-equivalence", f"n<={bound}", checked, True, started)
 
 
 def _accepts(validator, p: LinkedPartition) -> bool:
@@ -352,16 +329,12 @@ def _accepts(validator, p: LinkedPartition) -> bool:
     return True
 
 
-def suite_identities(upto: int) -> SuiteResult:
-    started = time.perf_counter()
-    report = verify_identities(upto)
-    for check in report.checks:
+def suite_identities(upto: int) -> Iterator[str | None]:
+    """Each identity holds at every 1 <= n <= upto."""
+    for check in verify_identities(upto).checks:
+        yield from repeat(None, upto if check.holds else check.first_failure - 1)
         if not check.holds:
-            return _result(
-                "identities", f"n<={upto}", len(report.checks), False, started,
-                f"{check.name} fails first at n={check.first_failure}",
-            )
-    return _result("identities", f"n<={upto}", 4 * upto, True, started)
+            yield f"{check.name} fails first at n={check.first_failure}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -371,13 +344,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.identities < 1:
         print("--identities must be at least 1", file=sys.stderr)
         return 1
-    results = [
-        suite_bijectivity(args.max_n),
-        suite_round_trip(args.max_n),
-        suite_doubling(args.max_n),
-        suite_validator_equivalence(args.max_n),
-        suite_identities(args.identities),
-    ]
+    bound = min(args.max_n, 6)  # 2^C(n,2) subsets; 6 keeps this exhaustive yet quick
+    suites = (
+        ("bijectivity", args.max_n, suite_bijectivity),
+        ("round-trip", args.max_n, suite_round_trip),
+        ("doubling", args.max_n, suite_doubling),
+        ("validator-equivalence", bound, suite_validator_equivalence),
+        ("identities", args.identities, suite_identities),
+    )
+    results = [run_suite(name, f"n<={k}", suite(k)) for name, k, suite in suites]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(

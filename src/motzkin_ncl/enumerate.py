@@ -18,12 +18,14 @@ letters in sorted order makes each stream lazy and sorted by text.
 >>> [p.text for p in gen_schroder(2, "little")]
 ['UDUD', 'UFD', 'UUDD']
 
-The partition stream backtracks over arc placements, left endpoints in
-increasing order, and sorts the results into canonical text order; it
-never consults the bijection.  No vertex is the right end of two arcs.
-Earlier arcs start left of v, so a new arc (v, e) crosses one exactly
-when it is open over v (a < v < b) and ends before e; those arcs nest,
-so e stops at the right end of the innermost one, found once per vertex.
+The partition stream walks arc placements depth first on an explicit
+stack, left endpoints in increasing order, so each finished arc set is
+yielded once, by the loop itself; it sorts the results into canonical
+text order and never consults the bijection.  No vertex is the right
+end of two arcs.  Earlier arcs start left of v, so a new arc (v, e)
+crosses one exactly when it is open over v (a < v < b) and ends before
+e; those arcs nest, so e stops at the right end of the innermost one,
+found once per vertex.
 """
 
 from __future__ import annotations
@@ -121,32 +123,21 @@ def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
 
 
 def _ncl_arc_sets(n: int) -> Iterator[frozenset[Arc]]:
-    """Backtrack over vertices: each vertex picks its outgoing arcs,
-    ascending, subject to in-degree one and noncrossing."""
-    arcs: list[Arc] = []
-    taken = [False] * (n + 1)  # taken[v]: v already a right endpoint
-
-    def place(v: int) -> Iterator[frozenset[Arc]]:
-        if v > n:
+    """Depth first over vertices: each vertex picks its outgoing arcs,
+    ascending, subject to in-degree one and noncrossing.  A state is
+    (vertex v, last end taken from v, bound on v's ends, arcs so far,
+    bitmask of the vertices that are already right ends)."""
+    stack = [(1, 1, n, (), 0)]
+    while stack:
+        v, last, bound, arcs, taken = stack.pop()
+        if v == n:
             yield frozenset(arcs)
-            return
-        yield from place(v + 1)  # no outgoing arcs at v
-        # an arc from v may end no later than the innermost arc open over v
-        bound = min((b for a, b in arcs if a < v < b), default=n)
-        yield from grow(v, v, bound)
-
-    def grow(v: int, last: int, bound: int) -> Iterator[frozenset[Arc]]:
+        else:  # stop at v; the innermost arc open over v + 1 bounds its ends
+            inner = min((b for _, b in arcs if b > v + 1), default=n)
+            stack.append((v + 1, v + 1, inner, arcs, taken))
         for e in range(last + 1, bound + 1):
-            if taken[e]:
-                continue
-            arcs.append(Arc(v, e))
-            taken[e] = True
-            yield from place(v + 1)
-            yield from grow(v, e, bound)
-            arcs.pop()
-            taken[e] = False
-
-    yield from place(1)
+            if not taken >> e & 1:
+                stack.append((v, e, bound, arcs + (Arc(v, e),), taken | 1 << e))
 
 
 def gen_ncl(n: int) -> Iterator[LinkedPartition]:

@@ -376,13 +376,12 @@ def parse_partition(text: str) -> LinkedPartition:
         i += 1
         block: set[int] = set()
         while True:
+            start = i
             label, i = _read_label(text, i)
             if label < 1:
-                raise ParseError("vertex labels start at 1", i - len(str(label)))
+                raise ParseError("vertex labels start at 1", start)
             if label in block:
-                raise ParseError(
-                    f"duplicate label {label} in block", i - len(str(label))
-                )
+                raise ParseError(f"duplicate label {label} in block", start)
             block.add(label)
             if i >= len(text):
                 raise ParseError("unterminated block", i)

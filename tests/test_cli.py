@@ -4,11 +4,13 @@ import io
 import json
 import sys
 from decimal import Decimal
+from math import comb
 
 import pytest
 
-from motzkin_ncl import schroder_numbers
+from motzkin_ncl import cli, large_motzkin_numbers, schroder_numbers, validate_large
 from motzkin_ncl.cli import main
+from motzkin_ncl.counting import IdentityCheck, IdentityReport
 
 
 def run(capsys, *argv):
@@ -215,6 +217,56 @@ class TestRender:
         assert code == 1 and "cross" in err
 
 
+# one injected fault per suite: the suite, the name in cli it replaces,
+# the fault (built from the real function), and what verify must report
+_FAULTS = [
+    (
+        "bijectivity",
+        "path_to_partition",
+        lambda real: lambda path: real("aa" if path.text == "Ux" else path),
+        5,
+        "'Ux' and 'aa' both map to {1,2}{2,3}",
+    ),
+    (
+        "round-trip",
+        "partition_to_path",
+        lambda real: lambda q: validate_large(
+            real(q).text.translate(str.maketrans("ab", "ba"))
+        ),
+        2,
+        "a",
+    ),
+    (
+        "doubling",
+        "double",
+        lambda real: lambda q, bit: real(q, bit if len(q) == 0 else 1 - bit),
+        4,
+        "Ux",
+    ),
+    (
+        "validator-equivalence",
+        "validate_ncl_blockwise",
+        lambda real: lambda p: p,
+        9,  # the disagreeing arc set itself is not counted
+        "n=3 arcs (1,3),(2,3): arc-level False, block-level True",
+    ),
+    (
+        "identities",
+        "verify_identities",
+        lambda real: lambda upto: IdentityReport(
+            upto,
+            (
+                real(upto).checks[0],
+                IdentityCheck("L(n) = S(n)", False, 3),
+                *real(upto).checks[2:],
+            ),
+        ),
+        20 + 2,  # all of the first identity, then n = 1, 2
+        "L(n) = S(n) fails first at n=3",
+    ),
+]
+
+
 class TestVerify:
     def test_default_scope_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "4", "--identities", "50")
@@ -236,6 +288,51 @@ class TestVerify:
         assert code == 1 and err
         code, _, err = run(capsys, "verify", "--identities", "0")
         assert code == 1 and err
+
+    def test_passing_counts_follow_the_tables(self, capsys):
+        # "checked" counts the objects that passed: every large path of
+        # length n <= 5 (bijectivity); each path and each partition of
+        # {1..n+1}, f(n+1) = L(n) of them (round trip); each large path of
+        # length n >= 1 and each (plain path, bit), 2 m(n-1) = L(n) of them
+        # (doubling); every arc set on n <= 5 vertices; and each
+        # (identity, n) pair
+        code, out, _ = run(capsys, "verify", "--max-n", "5", "--identities", "200")
+        assert code == 0
+        large = large_motzkin_numbers(5)
+        expected = {
+            "bijectivity": sum(large.values),
+            "round-trip": 2 * sum(large.values),
+            "doubling": 2 * sum(large.values[1:]),
+            "validator-equivalence": sum(2 ** comb(n, 2) for n in range(1, 6)),
+            "identities": 4 * 200,
+        }
+        rows = _verify_rows(out)
+        assert {name: int(row[2]) for name, row in rows.items()} == expected
+        assert all(row[4] == "PASS" for row in rows.values())
+
+    @pytest.mark.parametrize(
+        "suite, name, fault, checked, counterexample",
+        _FAULTS,
+        ids=[case[0] for case in _FAULTS],
+    )
+    def test_fault_is_reported(
+        self, capsys, monkeypatch, suite, name, fault, checked, counterexample
+    ):
+        monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+        code, out, _ = run(capsys, "verify", "--max-n", "3", "--identities", "20")
+        assert code == 1
+        row = _verify_rows(out)[suite]
+        assert row[2:5] == [str(checked), "checked", "FAIL"]
+        assert f"counterexample ({suite}): {counterexample}" in out.splitlines()
+
+
+def _verify_rows(out: str) -> dict[str, list[str]]:
+    """The suite rows of ``verify`` output, split into fields."""
+    return {
+        line.split()[0]: line.split()
+        for line in out.splitlines()
+        if not line.startswith("counterexample")
+    }
 
 
 class TestModuleEntry:

@@ -207,10 +207,17 @@ class TestParsePartition:
     def test_duplicate_label_in_block(self):
         with pytest.raises(ParseError):
             parse_partition("{1,1}")
+        # the offset is the label's first digit, leading zeros included
+        with pytest.raises(ParseError, match="duplicate label 1") as info:
+            parse_partition("{1,01}")
+        assert info.value.offset == 3
 
     def test_labels_start_at_one(self):
         with pytest.raises(ParseError):
             parse_partition("{0,1}")
+        with pytest.raises(ParseError, match="start at 1") as info:
+            parse_partition("{00}")
+        assert info.value.offset == 1
 
     def test_coverage_gap(self):
         with pytest.raises(PartitionError, match="vertex 2 missing"):
