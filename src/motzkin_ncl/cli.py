@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterator
 
 from .bijection import path_to_partition, partition_to_path
@@ -137,24 +137,28 @@ def cmd_count(args: argparse.Namespace) -> int:
 # enumerate
 
 
-def _family_stream(family: str, n: int) -> tuple[Iterator[str], int]:
-    """Texts of the family members plus the predicted cardinality."""
+def _family_stream(family: str, n: int) -> tuple[Iterator[str], Callable[[], int]]:
+    """Texts of the family members, lazily, plus a thunk for their number."""
     if family == "m32":
-        return (p.text for p in gen_motzkin32(n)), motzkin32_numbers(n)[n]
+        return (p.text for p in gen_motzkin32(n)), lambda: motzkin32_numbers(n)[n]
     if family == "large":
-        return (p.text for p in gen_large(n)), large_motzkin_numbers(n)[n]
+        return (p.text for p in gen_large(n)), lambda: large_motzkin_numbers(n)[n]
     if family == "ncl":
-        return (render_partition(q) for q in gen_ncl(n)), ncl_counts(n)[n]
-    big, small = schroder_numbers(n)
-    if family == "schroder-large":
-        return (p.text for p in gen_schroder(n, "large")), big[n]
-    return (p.text for p in gen_schroder(n, "little")), small[n]
+        return (render_partition(q) for q in gen_ncl(n)), lambda: ncl_counts(n)[n]
+    variant = family.removeprefix("schroder-")
+    return (
+        (p.text for p in gen_schroder(n, variant)),
+        lambda: schroder_numbers(n)[variant == "little"][n],
+    )
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream, predicted = _family_stream(args.family, args.n)
+    texts, count = _family_stream(args.family, args.n)
+    # every family has a member for each valid n; taking the first one
+    # runs the generator's own check of n before any table is built
+    stream = chain((next(texts),), texts)
     guard = int(os.environ.get(GUARD_ENV, GUARD_DEFAULT))
-    if args.limit is None and predicted > guard:
+    if args.limit is None and (predicted := count()) > guard:
         print(
             f"refusing to stream {predicted} objects (guard {guard}); "
             f"pass --limit or raise {GUARD_ENV}",

@@ -18,18 +18,35 @@ letters in sorted order makes each stream lazy and sorted by text.
 >>> [p.text for p in gen_schroder(2, "little")]
 ['UDUD', 'UFD', 'UUDD']
 
-The partition stream walks arc placements depth first on an explicit
-stack, left endpoints in increasing order, so each finished arc set is
-yielded once, by the loop itself; it sorts the results into canonical
-text order and never consults the bijection.  No vertex is the right
-end of two arcs.  Earlier arcs start left of v, so a new arc (v, e)
-crosses one exactly when it is open over v (a < v < b) and ends before
-e; those arcs nest, so e stops at the right end of the innermost one,
-found once per vertex.
+The partition stream is a depth-first walk of the same kind, over the
+canonical text itself.  The text is cut into tokens, each ending in a
+delimiter: ``"{w,"`` or ``"{w}"`` opens the block whose minimum is w,
+``"e,"`` or ``"e}"`` adds the element e to the open block (an arc from
+its minimum to e).  Because every token ends in ``,`` or ``}`` and those
+never appear inside a label, no token is a prefix of another, so two
+texts compare as their first differing tokens do.  Trying the feasible
+tokens in string order therefore yields the texts in string order, also
+once labels have several digits and ``"{1,10" < "{1,2"``.
+
+A vertex is taken once it is the right end of an arc.  After the block
+of v closes, let u be the first untaken vertex after v: the next block
+is ``"{u}"``, ``"{u,"`` when u + 1 is untaken, or ``"{u-1,"`` when u - 1
+is a taken vertex after v; the taken vertices in between are skipped,
+and nothing else may be.  With no untaken vertex left, the partition is
+complete.  Earlier arcs start left of w, so an arc (w, e) crosses one
+exactly when that arc ends between w and e; hence the elements of w's
+block are the untaken vertices below the first taken vertex after w,
+and ``"e,"`` is feasible only when e + 1 is one of them too.  So every
+feasible prefix completes, the walk never backtracks out of a dead end,
+and it never consults the bijection.
+
+>>> [str(q) for q in gen_ncl(3)]
+['{1,2,3}', '{1,2}{2,3}', '{1,2}{3}', '{1,3}{2}', '{1}{2,3}', '{1}{2}{3}']
 """
 
 from __future__ import annotations
 
+from heapq import merge
 from typing import Iterator
 
 from .structures import (
@@ -42,7 +59,6 @@ from .structures import (
     _SCHRODER_DELTA,
     _schroder_barred,
     _unchecked,
-    render_partition,
 )
 
 
@@ -122,31 +138,85 @@ def gen_schroder(n: int, variant: str = "large") -> Iterator[SchroderPath]:
         yield _unchecked(SchroderPath, text=word, variant=variant)
 
 
-def _ncl_arc_sets(n: int) -> Iterator[frozenset[Arc]]:
-    """Depth first over vertices: each vertex picks its outgoing arcs,
-    ascending, subject to in-degree one and noncrossing.  A state is
-    (vertex v, last end taken from v, bound on v's ends, arcs so far,
-    bitmask of the vertices that are already right ends)."""
-    stack = [(1, 1, n, (), 0)]
-    while stack:
-        v, last, bound, arcs, taken = stack.pop()
-        if v == n:
-            yield frozenset(arcs)
-        else:  # stop at v; the innermost arc open over v + 1 bounds its ends
-            inner = min((b for _, b in arcs if b > v + 1), default=n)
-            stack.append((v + 1, v + 1, inner, arcs, taken))
-        for e in range(last + 1, bound + 1):
-            if not taken >> e & 1:
-                stack.append((v, e, bound, arcs + (Arc(v, e),), taken | 1 << e))
+# a partition step: (token, vertex, whether the token closes the block)
+_Step = tuple[str, int, bool]
 
 
 def gen_ncl(n: int) -> Iterator[LinkedPartition]:
     """All noncrossing linked partitions of {1..n}, in canonical text
-    order.  Built directly from arc diagrams, independent of the path
-    bijection."""
+    order, independent of the path bijection.  Each is made when it is
+    yielded; besides the current text prefix the walk holds two steps
+    per label and up to three per block minimum.
+
+    The walk emits the text token by token, ``"{w,"``/``"{w}"`` to open
+    a block and ``"e,"``/``"e}"`` for its next element, trying feasible
+    tokens in string order.  Every token ends in a delimiter, so none is
+    a prefix of another and depth-first order is string order, also for
+    multi-digit labels (see the module docstring).
+    """
     if n < 1:
         raise ValueError("partitions need at least one vertex")
-    found = [_unchecked(LinkedPartition, n=n, arcs=arcs) for arcs in _ncl_arc_sets(n)]
-    found.sort(key=render_partition)  # each partition keeps its text
-    yield from found
+    # per label, in numeric order: the step that adds it and keeps the
+    # block open, then the one that closes the block with it
+    steps_by_label: list[_Step] = []
+    for e in range(1, n + 1):
+        steps_by_label += (f"{e},", e, False), (f"{e}}}", e, True)
+    openings: dict[tuple[int, bool], tuple[_Step, ...]] = {}
 
+    def opening_steps(v: int, u: int) -> tuple[_Step, ...]:
+        """The next block after v's, in token order; u is the first
+        untaken vertex after v, and u - 1, if after v, is taken."""
+        key = (u, u - 1 > v)
+        found = openings.get(key)
+        if found is None:
+            steps = [("{%d," % u, u, False), ("{%d}" % u, u, True)]
+            if u - 1 > v:
+                steps.append(("{%d," % (u - 1), u - 1, False))
+            found = openings[key] = tuple(sorted(steps))
+        return found
+
+    def element_steps(lo: int, hi: int) -> Iterator[_Step]:
+        """The steps that add one of lo..hi-1, in token order: labels of
+        one length in numeric order, runs of different lengths merged."""
+        runs = []
+        while lo < hi:
+            top = min(hi, 10 ** len(str(lo)))
+            runs.append(map(steps_by_label.__getitem__, range(2 * lo - 2, 2 * top - 2)))
+            lo = top
+        return runs[0] if len(runs) == 1 else merge(*runs)
+
+    tokens: list[str] = []
+    arcs: list[Arc] = []
+    # a frame: the steps left to try, the open block's minimum, the bound
+    # its elements stay below, and the bitmask of the taken vertices
+    stack = [(iter(opening_steps(0, 1)), 0, n + 1, 0)]
+    while stack:
+        steps, v, bound, taken = stack[-1]
+        step = next(steps, None)
+        if step is None:
+            stack.pop()
+            if tokens and tokens.pop()[0] != "{":  # the token added an arc
+                arcs.pop()
+            continue
+        token, w, closes = step
+        if not closes and w + 1 == bound:  # no element could follow w
+            continue
+        if token[0] == "{":
+            v = w
+        else:
+            arcs.append(Arc(v, w))
+            taken |= 1 << w
+        tokens.append(token)
+        if not closes:
+            stack.append((element_steps(w + 1, bound), v, bound, taken))
+            continue
+        free = ~taken >> (v + 1)
+        u = v + (free & -free).bit_length()  # the first untaken vertex after v
+        if u > n:
+            text = "".join(tokens)
+            yield _unchecked(LinkedPartition, n=n, arcs=frozenset(arcs), _text=text)
+            stack.append((iter(()), v, bound, taken))  # pops the last token
+            continue
+        above = taken >> (u + 1)  # the first taken vertex after u bounds u's block
+        bound = u + (above & -above).bit_length() if above else n + 1
+        stack.append((iter(opening_steps(v, u)), v, bound, taken))

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 from decimal import Decimal
 from math import comb
 
@@ -120,6 +121,29 @@ class TestEnumerate:
     def test_ncl_needs_a_vertex(self, capsys):
         code, _, err = run(capsys, "enumerate", "--family", "ncl", "--n", "0")
         assert code == 1 and err
+
+    @pytest.mark.parametrize(
+        "family, n, message",
+        [
+            ("ncl", "0", "partitions need at least one vertex"),
+            ("large", "-1", "path length cannot be negative"),
+            ("m32", "-1", "path length cannot be negative"),
+            ("schroder-large", "-1", "half-length cannot be negative"),
+            ("schroder-little", "-1", "half-length cannot be negative"),
+        ],
+    )
+    def test_bad_n_fails_by_the_family_rule(self, capsys, family, n, message):
+        # the generator's own rule, not the counting table's index check
+        code, out, err = run(capsys, "enumerate", "--family", family, "--n", n)
+        assert (code, out, err) == (1, "", message + "\n")
+
+    def test_limit_bounds_the_work(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "enumerate", "--family", "ncl", "--n", "10", "--limit", "1"
+        )
+        assert code == 0 and out == "{1,10}{2,3,4,5,6,7,8,9}\n"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMap:

@@ -126,8 +126,16 @@ class TestNclGenerator:
         assert {render_partition(q) for q in gen_ncl(n)} == accepted
 
     def test_sorted_by_canonical_text(self):
-        texts = [render_partition(q) for q in gen_ncl(5)]
-        assert texts == sorted(texts)
+        # at n = 10 labels have two digits and "{1,10" < "{1,2"
+        for n in (5, 10):
+            texts = [render_partition(q) for q in gen_ncl(n)]
+            assert all(a < b for a, b in zip(texts, texts[1:]))
+            assert len(texts) == ncl_counts(n)[n]
+
+    def test_generator_is_lazy(self):
+        stream = gen_ncl(40)  # about 2 * 10^27 partitions; must not materialize
+        labels = ",".join(map(str, range(10, 41)))
+        assert str(next(stream)) == "{1," + labels + "}{2,3,4,5,6,7,8,9}"
 
     def test_zero_vertices_rejected(self):
         with pytest.raises(ValueError):

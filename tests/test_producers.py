@@ -86,6 +86,13 @@ def test_partition_generator_and_decompositions(n):
                 assert_partition_rebuilds(restrict_partition(q, lo, hi))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_partition_generator_text(n):
+    # the generator hands each partition its text instead of rendering it
+    for q in gen_ncl(n):
+        assert render_partition(q) == render_partition(LinkedPartition(q.n, q.arcs))
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_forward_bijection_and_parser(n):
     for p in gen_large(n):
