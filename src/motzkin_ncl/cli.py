@@ -137,28 +137,27 @@ def cmd_count(args: argparse.Namespace) -> int:
 # enumerate
 
 
-def _family_stream(family: str, n: int) -> tuple[Iterator[str], Callable[[], int]]:
-    """Texts of the family members, lazily, plus a thunk for their number."""
+def _family_stream(family: str, n: int) -> tuple[Iterator[str], int]:
+    """Texts of the family members plus the predicted cardinality."""
     if family == "m32":
-        return (p.text for p in gen_motzkin32(n)), lambda: motzkin32_numbers(n)[n]
-    if family == "large":
-        return (p.text for p in gen_large(n)), lambda: large_motzkin_numbers(n)[n]
-    if family == "ncl":
-        return (render_partition(q) for q in gen_ncl(n)), lambda: ncl_counts(n)[n]
-    variant = family.removeprefix("schroder-")
-    return (
-        (p.text for p in gen_schroder(n, variant)),
-        lambda: schroder_numbers(n)[variant == "little"][n],
-    )
+        texts, table = (p.text for p in gen_motzkin32(n)), motzkin32_numbers
+    elif family == "large":
+        texts, table = (p.text for p in gen_large(n)), large_motzkin_numbers
+    elif family == "ncl":
+        texts, table = (render_partition(q) for q in gen_ncl(n)), ncl_counts
+    else:
+        variant = family.removeprefix("schroder-")
+        texts = (p.text for p in gen_schroder(n, variant))
+        table = lambda m: schroder_numbers(m)[variant == "little"]
+    # every family has a member for each valid n; taking the first one
+    # runs the generator's own check of n before the table checks it
+    return chain((next(texts),), texts), table(n)[n]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    texts, count = _family_stream(args.family, args.n)
-    # every family has a member for each valid n; taking the first one
-    # runs the generator's own check of n before any table is built
-    stream = chain((next(texts),), texts)
+    stream, predicted = _family_stream(args.family, args.n)
     guard = int(os.environ.get(GUARD_ENV, GUARD_DEFAULT))
-    if args.limit is None and (predicted := count()) > guard:
+    if args.limit is None and predicted > guard:
         print(
             f"refusing to stream {predicted} objects (guard {guard}); "
             f"pass --limit or raise {GUARD_ENV}",

@@ -46,7 +46,6 @@ and it never consults the bijection.
 
 from __future__ import annotations
 
-from heapq import merge
 from typing import Iterator
 
 from .structures import (
@@ -145,8 +144,8 @@ _Step = tuple[str, int, bool]
 def gen_ncl(n: int) -> Iterator[LinkedPartition]:
     """All noncrossing linked partitions of {1..n}, in canonical text
     order, independent of the path bijection.  Each is made when it is
-    yielded; besides the current text prefix the walk holds two steps
-    per label and up to three per block minimum.
+    yielded; the walk holds only the current text prefix and its tables
+    of feasible steps.
 
     The walk emits the text token by token, ``"{w,"``/``"{w}"`` to open
     a block and ``"e,"``/``"e}"`` for its next element, trying feasible
@@ -156,12 +155,8 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
     """
     if n < 1:
         raise ValueError("partitions need at least one vertex")
-    # per label, in numeric order: the step that adds it and keeps the
-    # block open, then the one that closes the block with it
-    steps_by_label: list[_Step] = []
-    for e in range(1, n + 1):
-        steps_by_label += (f"{e},", e, False), (f"{e}}}", e, True)
     openings: dict[tuple[int, bool], tuple[_Step, ...]] = {}
+    elements: dict[tuple[int, int], tuple[_Step, ...]] = {}
 
     def opening_steps(v: int, u: int) -> tuple[_Step, ...]:
         """The next block after v's, in token order; u is the first
@@ -175,15 +170,16 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
             found = openings[key] = tuple(sorted(steps))
         return found
 
-    def element_steps(lo: int, hi: int) -> Iterator[_Step]:
-        """The steps that add one of lo..hi-1, in token order: labels of
-        one length in numeric order, runs of different lengths merged."""
-        runs = []
-        while lo < hi:
-            top = min(hi, 10 ** len(str(lo)))
-            runs.append(map(steps_by_label.__getitem__, range(2 * lo - 2, 2 * top - 2)))
-            lo = top
-        return runs[0] if len(runs) == 1 else merge(*runs)
+    def element_steps(lo: int, hi: int) -> tuple[_Step, ...]:
+        """The steps that add one of lo..hi-1 to the open block, in token
+        order."""
+        key = (lo, hi)
+        found = elements.get(key)
+        if found is None:
+            found = elements[key] = tuple(sorted(
+                (f"{e}{end}", e, end == "}") for e in range(lo, hi) for end in ",}"
+            ))
+        return found
 
     tokens: list[str] = []
     arcs: list[Arc] = []
@@ -208,7 +204,7 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
             taken |= 1 << w
         tokens.append(token)
         if not closes:
-            stack.append((element_steps(w + 1, bound), v, bound, taken))
+            stack.append((iter(element_steps(w + 1, bound)), v, bound, taken))
             continue
         free = ~taken >> (v + 1)
         u = v + (free & -free).bit_length()  # the first untaken vertex after v

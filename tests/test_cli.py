@@ -3,12 +3,12 @@
 import io
 import json
 import sys
-import time
 from decimal import Decimal
 from math import comb
 
 import pytest
 
+import motzkin_ncl.enumerate
 from motzkin_ncl import cli, large_motzkin_numbers, schroder_numbers, validate_large
 from motzkin_ncl.cli import main
 from motzkin_ncl.counting import IdentityCheck, IdentityReport
@@ -137,13 +137,21 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--family", family, "--n", n)
         assert (code, out, err) == (1, "", message + "\n")
 
-    def test_limit_bounds_the_work(self, capsys):
-        start = time.perf_counter()
+    def test_limit_bounds_the_work(self, capsys, monkeypatch):
+        # the first line needs one partition built, not all L(9) of them
+        built = []
+        unchecked = motzkin_ncl.enumerate._unchecked
+
+        def counted(cls, **fields):
+            built.append(cls)
+            return unchecked(cls, **fields)
+
+        monkeypatch.setattr(motzkin_ncl.enumerate, "_unchecked", counted)
         code, out, _ = run(
             capsys, "enumerate", "--family", "ncl", "--n", "10", "--limit", "1"
         )
         assert code == 0 and out == "{1,10}{2,3,4,5,6,7,8,9}\n"
-        assert time.perf_counter() - start < 1.0
+        assert len(built) == 1
 
 
 class TestMap:
