@@ -33,6 +33,7 @@ from .enumerate import gen_large, gen_motzkin32, gen_ncl, gen_schroder
 from .structures import (
     Arc,
     LinkedPartition,
+    ascii_rows,
     parse_partition,
     render_ascii,
     render_partition,
@@ -156,7 +157,11 @@ def _family_stream(family: str, n: int) -> tuple[Iterator[str], int]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     stream, predicted = _family_stream(args.family, args.n)
-    guard = int(os.environ.get(GUARD_ENV, GUARD_DEFAULT))
+    raw = os.environ.get(GUARD_ENV)
+    try:
+        guard = GUARD_DEFAULT if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
     if args.limit is None and predicted > guard:
         print(
             f"refusing to stream {predicted} objects (guard {guard}); "
@@ -215,11 +220,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         obj = validate_ncl(parse_partition(args.partition))
         kind, n = "partition", obj.n
-    diagram = render_ascii(obj)
     if args.format == "jsonl":
-        print(_jsonl(kind, n, diagram))
+        print(_jsonl(kind, n, render_ascii(obj)))
     else:
-        print(diagram)
+        # a deep diagram runs to megabytes; write each row once it is made
+        sys.stdout.writelines(row + "\n" for row in ascii_rows(obj))
     return 0
 
 

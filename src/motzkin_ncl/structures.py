@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 _DIGITS = frozenset("0123456789")
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
@@ -523,19 +523,26 @@ def _blocks_cross(block_a: tuple[int, ...], block_b: tuple[int, ...]) -> bool:
 
 def render_ascii(obj: MotzkinPath | LinkedPartition) -> str:
     """Deterministic text diagram of a path or a partition."""
+    return "\n".join(ascii_rows(obj))
+
+
+def ascii_rows(obj: MotzkinPath | LinkedPartition) -> Iterator[str]:
+    """The rows of :func:`render_ascii`'s diagram, top first, each made
+    just before it is yielded."""
     if isinstance(obj, MotzkinPath):
-        return _path_art(obj)
+        return _path_rows(obj)
     if isinstance(obj, LinkedPartition):
-        return _partition_art(obj)
+        return _partition_rows(obj)
     raise TypeError(f"cannot draw {type(obj).__name__}")
 
 
-def _path_art(path: MotzkinPath) -> str:
+def _path_rows(path: MotzkinPath) -> Iterator[str]:
     """Mountain diagram: slopes as ``/`` and ``\\``, levels as their color
     letter at their height, with a dashed axis line."""
     text = path.text
     if not text:
-        return ""
+        yield ""
+        return
     heights = path.heights()
     top = max([0, *heights])
     grid = {}
@@ -545,15 +552,12 @@ def _path_art(path: MotzkinPath) -> str:
             grid[(h + 1, i)] = "\\"
         else:
             grid[(h, i)] = "/" if ch == "U" else ch
-    rows = []
     for level in range(top, 0, -1):
-        rows.append("".join(grid.get((level, i), " ") for i in range(len(text))).rstrip())
-    axis = "".join(grid.get((0, i), "-") for i in range(len(text)))
-    rows.append(axis)
-    return "\n".join(rows)
+        yield "".join(grid.get((level, i), " ") for i in range(len(text))).rstrip()
+    yield "".join(grid.get((0, i), "-") for i in range(len(text)))
 
 
-def _partition_art(p: LinkedPartition) -> str:
+def _partition_rows(p: LinkedPartition) -> Iterator[str]:
     """Arc diagram above a row of vertex labels.
 
     Each arc gets a row by nesting depth (outermost on top), drawn as
@@ -565,40 +569,34 @@ def _partition_art(p: LinkedPartition) -> str:
     for lab in labels:
         pos.append(col)
         col += len(lab) + 1
-    width = col - 1
-    label_row = " ".join(labels)
-    if not p.arcs:
-        return label_row
-    # an arc's depth is the number of arcs containing it; taken longest
-    # first by left endpoint, those are the earlier arcs that end no
-    # sooner, counted by a Fenwick tree over right endpoints
-    ordered = sorted(p.arcs, key=_outer_first)
-    ends = [0] * (p.n + 1)
-    depth = {}
-    for seen, arc in enumerate(ordered):
-        shorter = 0
-        i = arc.right - 1
-        while i:
-            shorter += ends[i]
-            i &= i - 1
-        depth[arc] = seen - shorter
-        i = arc.right
-        while i <= p.n:
-            ends[i] += 1
-            i += i & -i
-    levels = max(depth.values()) + 1
-    grid = [[" "] * width for _ in range(levels)]
-    for arc in ordered:  # uprights first, caps after so caps win
-        for row in range(depth[arc] + 1, levels):
-            grid[row][pos[arc.left - 1]] = "|"
-            grid[row][pos[arc.right - 1]] = "|"
-    for arc in ordered:
-        row = grid[depth[arc]]
-        lo, hi = pos[arc.left - 1], pos[arc.right - 1]
-        for c in range(lo + 1, hi):
-            row[c] = "-"
-        row[lo] = "."
-        row[hi] = "."
-    rows = ["".join(r).rstrip() for r in grid]
-    rows.append(label_row)
-    return "\n".join(rows)
+    if p.arcs:
+        # an arc's depth is the number of arcs containing it; taken
+        # longest first by left endpoint, those are the earlier arcs that
+        # end no sooner, counted by a Fenwick tree over right endpoints
+        ends = [0] * (p.n + 1)
+        rows: list[list[Arc]] = []
+        for seen, arc in enumerate(sorted(p.arcs, key=_outer_first)):
+            shorter = 0
+            i = arc.right - 1
+            while i:
+                shorter += ends[i]
+                i &= i - 1
+            depth = seen - shorter
+            rows.extend([] for _ in range(depth + 1 - len(rows)))
+            rows[depth].append(arc)
+            i = arc.right
+            while i <= p.n:
+                ends[i] += 1
+                i += i & -i
+        # each row copies the uprights of the arcs above it, then writes
+        # its caps over them in (left, -right) order, so later caps win
+        uprights = bytearray(b" " * (col - 1))
+        for arcs in rows:
+            row = uprights[:]
+            for arc in arcs:
+                lo, hi = pos[arc.left - 1], pos[arc.right - 1]
+                row[lo : hi + 1] = b"." + b"-" * (hi - lo - 1) + b"."
+            yield row.rstrip().decode()
+            for arc in arcs:
+                uprights[pos[arc.left - 1]] = uprights[pos[arc.right - 1]] = ord("|")
+    yield " ".join(labels)

@@ -113,6 +113,12 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--family", "large", "--n", "5")
         assert code == 0 and len(out.splitlines()) == 394
 
+    def test_guard_that_is_not_a_number_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHRODER_MAX_OBJECTS", "abc")
+        code, out, err = run(capsys, "enumerate", "--family", "large", "--n", "3")
+        assert code == 1 and out == ""
+        assert err == "SCHRODER_MAX_OBJECTS must be an integer, got 'abc'\n"
+
     def test_schroder_families(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "schroder-little", "--n", "2")
         assert code == 0

@@ -153,6 +153,18 @@ class TestHolonomicTables:
         assert little.values == (1, *(v // 2 for v in big[1:]))
         assert ncl_counts(301).values == tuple(large)
 
+    def test_private_convolutions_match_the_written_out_ones(self):
+        # every prefix up to 300, so the paired middle term is tried with
+        # an odd and an even number of terms
+        m, large, big = _convolution_tables(300)
+        assert counting._motzkin32_convolution(300) == m
+        assert counting._large_convolution(300, m) == large
+        assert counting._schroder_convolution(300) == big
+        for upto in (0, 1, 2):
+            assert counting._motzkin32_convolution(upto) == m[: upto + 1]
+            assert counting._large_convolution(upto, m) == large[: upto + 1]
+            assert counting._schroder_convolution(upto) == big[: upto + 1]
+
     def test_twenty_thousand_terms_are_fast_and_satisfy_the_recurrence(self):
         started = time.perf_counter()
         table = large_motzkin_numbers(20000)

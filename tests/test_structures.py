@@ -4,6 +4,7 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin_ncl import (
     Arc,
@@ -22,6 +23,7 @@ from motzkin_ncl import (
     SchroderPath,
     blocks_of,
     parse_partition,
+    path_to_partition,
     render_ascii,
     render_partition,
     validate_large,
@@ -30,7 +32,7 @@ from motzkin_ncl import (
     validate_ncl_blockwise,
     validate_schroder,
 )
-from motzkin_ncl.structures import _nearly_disjoint
+from motzkin_ncl.structures import _nearly_disjoint, ascii_rows
 
 
 class TestSteps:
@@ -354,6 +356,81 @@ class TestRenderAscii:
         assert render_ascii(LinkedPartition(4, [(1, 3), (2, 4)])) == ".-.---.\n1 2 3 4"
         art = render_ascii(LinkedPartition(6, [(1, 4), (2, 5), (3, 6), (2, 3)]))
         assert art == ".-.-.-----.\n| | | | | |\n| .-. | | |\n1 2 3 4 5 6"
+
+
+def _grid_partition_art(p: LinkedPartition) -> str:
+    """An independent arc-diagram oracle: a levels x width grid of
+    characters, each arc's uprights painted into every row below its
+    own, then all caps painted over them in (left, -right) order.  An
+    arc's row is its count of containing arcs, by a pairwise scan."""
+    labels = [str(v) for v in range(1, p.n + 1)]
+    pos = [sum(len(lab) + 1 for lab in labels[:i]) for i in range(p.n)]
+    label_row = " ".join(labels)
+    if not p.arcs:
+        return label_row
+    ordered = sorted(p.arcs, key=lambda arc: (arc.left, -arc.right))
+    depth = {
+        arc: sum(other.right >= arc.right for other in ordered[:i])
+        for i, arc in enumerate(ordered)
+    }
+    levels = max(depth.values()) + 1
+    grid = [[" "] * len(label_row) for _ in range(levels)]
+    for arc in ordered:
+        for row in range(depth[arc] + 1, levels):
+            grid[row][pos[arc.left - 1]] = "|"
+            grid[row][pos[arc.right - 1]] = "|"
+    for arc in ordered:
+        row = grid[depth[arc]]
+        lo, hi = pos[arc.left - 1], pos[arc.right - 1]
+        for c in range(lo + 1, hi):
+            row[c] = "-"
+        row[lo] = "."
+        row[hi] = "."
+    return "\n".join(["".join(r).rstrip() for r in grid] + [label_row])
+
+
+@st.composite
+def any_arc_sets(draw, max_n=30):
+    """Arc sets on [n], crossing and shared-endpoint ones included."""
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return LinkedPartition(1)
+    pair = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).map(
+        lambda ab: (min(ab), max(ab) + 1)
+    )
+    return LinkedPartition(n, draw(st.frozensets(pair, max_size=3 * n)))
+
+
+class TestRenderOracle:
+    @given(any_arc_sets())
+    def test_rows_match_the_grid_oracle(self, p):
+        assert render_ascii(p) == _grid_partition_art(p)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 40])
+    def test_deep_nests(self, k):
+        p = path_to_partition(validate_large("U" * k + "x" * k))
+        assert render_ascii(p) == _grid_partition_art(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 60])
+    def test_chains(self, n):
+        p = parse_partition("".join(f"{{{v},{v + 1}}}" for v in range(1, n)))
+        assert render_ascii(p) == _grid_partition_art(p)
+
+    def test_arc_free(self):
+        p = LinkedPartition(12)
+        assert render_ascii(p) == _grid_partition_art(p) == " ".join(
+            map(str, range(1, 13))
+        )
+
+    def test_an_empty_depth_keeps_its_row(self):
+        # (3,5) lies in (1,5) and (2,6); neither of those contains the other
+        p = LinkedPartition(6, [(1, 5), (2, 6), (3, 5)])
+        assert render_ascii(p) == _grid_partition_art(p)
+        assert render_ascii(p).split("\n")[1] == "| |     | |"
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError):
+            ascii_rows("Ux")
 
 
 class TestLargePartitions:
