@@ -7,6 +7,13 @@ argument or stdin, one per line), ``render`` draws ASCII diagrams, and
 
 Exit codes: 0 on success, 1 on domain errors or failed verification,
 2 on usage errors.
+
+``main`` builds its parser on its first call, about 1 ms, and reuses it
+in every later call of the process (``build_parser`` still returns a new
+one).  That took large-objects' median request from 7.4 to 4.9 ref
+(``BENCH_11.json``).  ``enumerate --limit`` skips the guard's count, so
+it builds no counting table.  ``map`` reads stdin a line at a time and
+prefixes an error with ``line N:``.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ GUARD_ENV = "SCHRODER_MAX_OBJECTS"
 GUARD_DEFAULT = 10**8
 
 FAMILIES = ("m32", "large", "ncl", "schroder-large", "schroder-little")
+
+# the maps recurse once per nesting level of the object
+TOO_DEEP = "input nests too deeply for the recursive maps"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,8 +148,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 # enumerate
 
 
-def _family_stream(family: str, n: int) -> tuple[Iterator[str], int]:
-    """Texts of the family members plus the predicted cardinality."""
+def _family_stream(family: str, n: int) -> tuple[Iterator[str], Callable[[], int]]:
+    """Texts of the family members plus a function that counts them."""
     if family == "m32":
         texts, table = (p.text for p in gen_motzkin32(n)), motzkin32_numbers
     elif family == "large":
@@ -151,26 +161,27 @@ def _family_stream(family: str, n: int) -> tuple[Iterator[str], int]:
         texts = (p.text for p in gen_schroder(n, variant))
         table = lambda m: schroder_numbers(m)[variant == "little"]
     # every family has a member for each valid n; taking the first one
-    # runs the generator's own check of n before the table checks it
-    return chain((next(texts),), texts), table(n)[n]
+    # runs the generator's own check of n before any table is built
+    return chain((next(texts),), texts), lambda: table(n)[n]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream, predicted = _family_stream(args.family, args.n)
+    stream, count = _family_stream(args.family, args.n)
     raw = os.environ.get(GUARD_ENV)
     try:
         guard = GUARD_DEFAULT if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
-    if args.limit is None and predicted > guard:
+    if args.limit is not None:
+        # the guard does not apply, so the table to N is never built
+        stream = islice(stream, max(args.limit, 0))
+    elif (predicted := count()) > guard:
         print(
             f"refusing to stream {predicted} objects (guard {guard}); "
             f"pass --limit or raise {GUARD_ENV}",
             file=sys.stderr,
         )
         return 1
-    if args.limit is not None:
-        stream = islice(stream, max(args.limit, 0))
     for text in stream:
         if args.format == "jsonl":
             print(_jsonl(args.family, args.n, text))
@@ -201,11 +212,17 @@ def _map_transform(args: argparse.Namespace) -> Callable[[str], str]:
 def cmd_map(args: argparse.Namespace) -> int:
     transform = _map_transform(args)
     if args.object is not None:
-        lines = [args.object]
-    else:
-        lines = sys.stdin.read().splitlines()
-    for line in lines:
-        print(transform(line))
+        print(transform(args.object))
+        return 0
+    # one line at a time, split at "\n" only; a "\r" before it is dropped
+    for number, line in enumerate(sys.stdin, 1):
+        try:
+            out = transform(line.removesuffix("\n").removesuffix("\r"))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"line {number}: {TOO_DEEP}") from None
+        print(out)
     return 0
 
 
@@ -376,9 +393,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_parser: argparse.ArgumentParser | None = None  # main's, built on its first call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     handler = {
         "count": cmd_count,
         "enumerate": cmd_enumerate,
@@ -399,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except RecursionError:
-        # the maps recurse once per nesting level of the object
-        print("input nests too deeply for the recursive maps", file=sys.stderr)
+        print(TOO_DEEP, file=sys.stderr)
         return 1
 
 

@@ -159,6 +159,24 @@ class TestEnumerate:
         assert code == 0 and out == "{1,10}{2,3,4,5,6,7,8,9}\n"
         assert len(built) == 1
 
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_limit_builds_no_counting_table(self, capsys, monkeypatch, family):
+        # the table to N serves only the guard, which --limit lifts
+        built = []
+        for name in (
+            "motzkin32_numbers", "large_motzkin_numbers", "ncl_counts", "schroder_numbers"
+        ):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda m, real=real, name=name: built.append(name) or real(m)
+            )
+        argv = ("enumerate", "--family", family, "--n", "3")
+        code, out, _ = run(capsys, *argv, "--limit", "1")
+        assert code == 0 and len(out.splitlines()) == 1
+        assert built == []
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(built) == 1
+
 
 class TestMap:
     def test_phi_argument(self, capsys):
@@ -188,7 +206,7 @@ class TestMap:
 
     def test_invalid_word_exits_one(self, capsys):
         code, out, err = run(capsys, "map", "--phi", "Uq")
-        assert code == 1 and out == "" and "offset 1" in err
+        assert (code, out, err) == (1, "", "unknown step character 'q' (offset 1)\n")
 
     def test_axis_l3_rejected_for_phi(self, capsys):
         code, _, err = run(capsys, "map", "--phi", "c")
@@ -210,7 +228,43 @@ class TestMap:
         monkeypatch.setattr(sys, "stdin", io.StringIO("Ux\nbad\nUy\n"))
         code, out, err = run(capsys, "map", "--phi")
         assert code == 1
-        assert out == "{1,2,3}\n" and err
+        assert out == "{1,2,3}\n"
+        assert err == "line 2: unknown step character 'd' (offset 2)\n"
+
+    @pytest.mark.parametrize(
+        "text, out",
+        [
+            ("Ux\r\nUy\r\n\r\n", "{1,2,3}\n{1,3}{2}\n{1}\n"),
+            ("Ux\r\nUy", "{1,2,3}\n{1,3}{2}\n"),
+            ("Ux\nUy\r", "{1,2,3}\n{1,3}{2}\n"),
+        ],
+        ids=["crlf", "last-line-unended", "last-line-ends-in-cr"],
+    )
+    def test_line_endings(self, capsys, monkeypatch, text, out):
+        # "\n" ends a line and one "\r" before it is dropped
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "map", "--phi") == (0, out, "")
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\f", "\r"])
+    def test_other_line_breaks_are_part_of_the_line(self, capsys, monkeypatch, char):
+        # only "\n" ends a line, and only one "\r" before it is dropped
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"Ux\nUx{char}\r\n"))
+        code, out, err = run(capsys, "map", "--phi")
+        assert (code, out) == (1, "{1,2,3}\n")
+        assert err == f"line 2: unknown step character {char!r} (offset 2)\n"
+
+    def test_stdin_streams(self, capsys, monkeypatch):
+        # each line's answer is written before the next line is read
+        written = []
+
+        def lines():
+            yield "Ux\n"
+            written.append(capsys.readouterr().out)
+            yield "Uy\n"
+
+        monkeypatch.setattr(sys, "stdin", lines())
+        code, out, _ = run(capsys, "map", "--phi")
+        assert (code, written, out) == (0, ["{1,2,3}\n"], "{1,3}{2}\n")
 
     def test_too_deep_nesting_fails_in_one_line(self):
         import subprocess
@@ -224,6 +278,18 @@ class TestMap:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr and "deep" in proc.stderr
+
+    def test_too_deep_stdin_line_is_named(self):
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "motzkin_ncl", "map", "--phi"],
+            input="Ux\n" + "U" * 2000 + "x" * 2000 + "\nUy\n",
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "{1,2,3}\n")
+        assert proc.stderr == "line 2: input nests too deeply for the recursive maps\n"
 
 
 class TestRender:
@@ -371,6 +437,83 @@ def _verify_rows(out: str) -> dict[str, list[str]]:
         for line in out.splitlines()
         if not line.startswith("counterexample")
     }
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Start with no parser and count the builds from here on."""
+        built = []
+        factory = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return factory()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return built
+
+    def test_fifty_calls_build_it_once(self, capsys, builds):
+        calls = [
+            ("count", "--seq", "L", "--upto", "3"),
+            ("enumerate", "--family", "large", "--n", "2"),
+            ("map", "--phi", "Ux"),
+            ("render", "--path", "Ux", "--format", "jsonl"),
+            ("verify", "--max-n", "0", "--identities", "1"),
+        ]
+        for i in range(50):
+            assert run(capsys, *calls[i % len(calls)])[0] == 0
+        assert len(builds) == 1
+
+    def test_build_parser_stays_a_factory(self, capsys, builds):
+        assert run(capsys, "map", "--phi", "Ux")[0] == 0
+        assert cli.build_parser() is not cli._parser
+
+    def test_an_option_does_not_carry_over(self, capsys, builds):
+        argv = ("enumerate", "--family", "ncl", "--n", "2")
+        code, out, _ = run(capsys, *argv, "--format", "jsonl")
+        assert code == 0 and out.startswith('{"kind"')
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "{1,2}\n{1}{2}\n")
+        code, out, _ = run(capsys, "map", "--double", "1", "c")
+        assert (code, out) == (0, "Uy\n")
+        code, out, _ = run(capsys, "map", "--project", "Uy")
+        assert (code, out) == (0, "c\t1\n")
+
+    def test_usage_error_then_a_correct_call(self, capsys, builds):
+        with pytest.raises(SystemExit) as info:
+            main(["map", "--phi", "--project", "Ux"])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert run(capsys, "map", "--phi", "Ux") == (0, "{1,2,3}\n", "")
+
+    def _help(self, capsys, *argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--help"])
+        assert info.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [(), ("map",), ("enumerate",)])
+    def test_help_is_the_same_each_time(self, capsys, monkeypatch, builds, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        first = self._help(capsys, *argv)
+        assert self._help(capsys, *argv) == first
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_parser", None)  # a fresh parser says the same
+        assert self._help(capsys, *argv) == first
+        assert len(builds) == 2
+
+    def test_help_follows_columns(self, capsys, monkeypatch, builds):
+        # argparse reads the width when it formats, not when it is built
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = self._help(capsys, "map")
+        monkeypatch.setenv("COLUMNS", "50")
+        narrow = self._help(capsys, "map")
+        assert len(builds) == 1 and narrow != wide
+        assert max(map(len, narrow.splitlines())) < max(map(len, wide.splitlines()))
 
 
 class TestModuleEntry:
