@@ -5,7 +5,8 @@ Both directions work on text words and validate their input once: the
 forward map then recurses on slices of the word, and the inverse
 assembles the word from the components of its partition.  Every
 partition built on the way is in range by construction, so it skips the
-public constructor's normalisation.
+public constructor's normalisation.  Input nested past the recursion
+limit raises ValueError.
 
 Forward direction, component by component.  An axis level step of color
 1 becomes the two-vertex block {1,2}; color 2 becomes two singletons.
@@ -56,6 +57,9 @@ from .structures import (
 )
 
 
+_TOO_DEEP = "input nests too deeply for the recursive maps"
+
+
 class StructureError(ValueError):
     """A component shape that no case of the correspondence produces.
 
@@ -90,7 +94,10 @@ def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
 
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
-    return _word_partition(validate_large(path).text)
+    try:
+        return _word_partition(validate_large(path).text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 def _word_partition(word: str) -> LinkedPartition:
@@ -158,7 +165,10 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         p = parse_partition(p)
     validate_ncl(p)
-    return _unchecked(LargeMotzkinPath, text=_partition_word(p))
+    try:
+        return _unchecked(LargeMotzkinPath, text=_partition_word(p))
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 def _partition_word(p: LinkedPartition) -> str:

@@ -6,14 +6,13 @@ argument or stdin, one per line), ``render`` draws ASCII diagrams, and
 ``verify`` replays the property suites end to end.
 
 Exit codes: 0 on success, 1 on domain errors or failed verification,
-2 on usage errors.
+2 on usage errors.  Handlers raise ``ValueError``; only ``main`` reports it.
 
 ``main`` builds its parser on its first call, about 1 ms, and reuses it
 in every later call of the process (``build_parser`` still returns a new
-one).  That took large-objects' median request from 7.4 to 4.9 ref
-(``BENCH_11.json``).  ``enumerate --limit`` skips the guard's count, so
-it builds no counting table.  ``map`` reads stdin a line at a time and
-prefixes an error with ``line N:``.
+one).  ``enumerate --limit`` skips the guard's count, so it builds no
+counting table.  ``map`` reads stdin a line at a time and prefixes an
+error with ``line N:``.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterator
@@ -55,9 +55,6 @@ GUARD_DEFAULT = 10**8
 
 FAMILIES = ("m32", "large", "ncl", "schroder-large", "schroder-little")
 
-# the maps recurse once per nesting level of the object
-TOO_DEEP = "input nests too deeply for the recursive maps"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -80,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     mapping = sub.add_parser("map", help="apply a correspondence to objects")
     which = mapping.add_mutually_exclusive_group(required=True)
     which.add_argument("--phi", action="store_true", help="path to partition")
-    which.add_argument(
-        "--phi-inv", dest="phi_inv", action="store_true", help="partition to path"
-    )
+    which.add_argument("--phi-inv", action="store_true", help="partition to path")
     which.add_argument(
         "--double", type=int, choices=(0, 1), metavar="BIT", default=None,
         help="plain path + bit to large path",
@@ -112,36 +107,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    if args.seq == "f" and args.upto < 1:
+        raise ValueError("f starts at 1; --upto must be at least 1")
+    if args.upto < 0:
+        raise ValueError("--upto must not be negative")
     if args.seq == "f":
-        if args.upto < 1:
-            print("f starts at 1; --upto must be at least 1", file=sys.stderr)
-            return 1
         table = ncl_counts(args.upto)
+    elif args.seq == "m":
+        table = motzkin32_numbers(args.upto)
+    elif args.seq == "L":
+        table = large_motzkin_numbers(args.upto)
     else:
-        if args.upto < 0:
-            print("--upto must not be negative", file=sys.stderr)
-            return 1
-        if args.seq == "m":
-            table = motzkin32_numbers(args.upto)
-        elif args.seq == "L":
-            table = large_motzkin_numbers(args.upto)
-        elif args.seq == "S":
-            table = schroder_numbers(args.upto)[0]
-        else:
-            table = schroder_numbers(args.upto)[1]
-    # str(int) refuses more than sys.get_int_max_str_digits() digits
-    # (4300 by default since Python 3.11), which S(n) passes near
-    # n = 5600; lift that limit while printing, where there is one
+        table = schroder_numbers(args.upto)[args.seq == "s"]
+    with _any_digits():
+        for value in table.values:
+            print(value)
+    return 0
+
+
+@contextmanager
+def _any_digits() -> Iterator[None]:
+    """Lift str(int)'s digit limit (4300 since Python 3.11) for the block."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        for _, value in table.items():
-            print(value)
+        yield
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +170,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # the guard does not apply, so the table to N is never built
         stream = islice(stream, max(args.limit, 0))
     elif (predicted := count()) > guard:
-        print(
-            f"refusing to stream {predicted} objects (guard {guard}); "
-            f"pass --limit or raise {GUARD_ENV}",
-            file=sys.stderr,
-        )
-        return 1
+        with _any_digits():
+            raise ValueError(
+                f"refusing to stream {predicted} objects (guard {guard}); "
+                f"pass --limit or raise {GUARD_ENV}"
+            )
     for text in stream:
         if args.format == "jsonl":
             print(_jsonl(args.family, args.n, text))
@@ -220,8 +213,6 @@ def cmd_map(args: argparse.Namespace) -> int:
             out = transform(line.removesuffix("\n").removesuffix("\r"))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"line {number}: {TOO_DEEP}") from None
         print(out)
     return 0
 
@@ -364,11 +355,9 @@ def suite_identities(upto: int) -> Iterator[str | None]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 0:
-        print("--max-n must not be negative", file=sys.stderr)
-        return 1
+        raise ValueError("--max-n must not be negative")
     if args.identities < 1:
-        print("--identities must be at least 1", file=sys.stderr)
-        return 1
+        raise ValueError("--identities must be at least 1")
     bound = min(args.max_n, 6)  # 2^C(n,2) subsets; 6 keeps this exhaustive yet quick
     suites = (
         ("bijectivity", args.max_n, suite_bijectivity),
@@ -412,16 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except BrokenPipeError:
         # downstream closed early (e.g. piped into head); not our error
-        try:
+        with suppress(OSError):
             sys.stdout.close()
-        except OSError:
-            pass
         return 0
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except RecursionError:
-        print(TOO_DEEP, file=sys.stderr)
         return 1
 
 

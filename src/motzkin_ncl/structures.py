@@ -37,6 +37,7 @@ those steps through the one private :func:`_unchecked`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -355,7 +356,11 @@ def _read_label(text: str, i: int) -> tuple[int, int]:
         j += 1
     if j == i:
         raise ParseError("expected a vertex label", i)
-    return int(text[i:j]), j
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # past int()'s digit limit, kept against quadratic input
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"vertex label has more than {limit} digits", i) from None
 
 
 def parse_partition(text: str) -> LinkedPartition:

@@ -96,6 +96,34 @@ class TestInverse:
         assert calls == [q.n]
 
 
+TOO_DEEP = "input nests too deeply for the recursive maps"
+DEEP_WORD = "U" * 2000 + "x" * 2000
+DEEP_BLOCK = "{" + ",".join(map(str, range(1, 4002))) + "}"  # DEEP_WORD's image
+
+
+class TestDepth:
+    # both maps recurse once per nesting level; past the recursion limit
+    # they raise a ValueError of their own, not the RecursionError
+    def test_forward(self):
+        with pytest.raises(ValueError) as info:
+            path_to_partition(DEEP_WORD)
+        assert type(info.value) is ValueError and str(info.value) == TOO_DEEP
+        assert render_partition(path_to_partition("UUxx")) == "{1,2,3,4,5}"
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["text", "object"])
+    def test_inverse(self, parsed):
+        block = parse_partition(DEEP_BLOCK) if parsed else DEEP_BLOCK
+        with pytest.raises(ValueError) as info:
+            partition_to_path(block)
+        assert type(info.value) is ValueError and str(info.value) == TOO_DEEP
+        assert partition_to_path("{1,2,3,4,5}").text == "UUxx"
+
+    def test_deep_word_maps_to_one_block(self):
+        assert render_partition(path_to_partition("U" * 20 + "x" * 20)) == (
+            "{" + ",".join(map(str, range(1, 42))) + "}"
+        )
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "text,tag",

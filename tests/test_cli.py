@@ -108,6 +108,17 @@ class TestEnumerate:
         )
         assert code == 0 and out == "UUaxx\n"
 
+    def test_refusal_past_the_int_to_str_digit_limit(self, capsys, monkeypatch):
+        # L(5700) has more digits than str(int) writes by default
+        monkeypatch.delenv("SCHRODER_MAX_OBJECTS", raising=False)
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        before = digit_limit()
+        code, out, err = run(capsys, "enumerate", "--family", "large", "--n", "5700")
+        assert code == 1 and out == ""
+        assert err.startswith("refusing to stream ")
+        assert err.endswith("pass --limit or raise SCHRODER_MAX_OBJECTS\n")
+        assert digit_limit() == before
+
     def test_guard_raised_by_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SCHRODER_MAX_OBJECTS", "1000")
         code, out, _ = run(capsys, "enumerate", "--family", "large", "--n", "5")
@@ -290,6 +301,28 @@ class TestMap:
         )
         assert (proc.returncode, proc.stdout) == (1, "{1,2,3}\n")
         assert proc.stderr == "line 2: input nests too deeply for the recursive maps\n"
+
+    def test_too_deep_partition_argument_fails_in_one_line(self, capsys):
+        block = "{" + ",".join(map(str, range(1, 4002))) + "}"
+        code, out, err = run(capsys, "map", "--phi-inv", block)
+        assert (code, out, err) == (
+            1, "", "input nests too deeply for the recursive maps\n"
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() has no digit limit before Python 3.11",
+    )
+    def test_over_long_label_on_stdin_is_named(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{1}\n{1,%s}\n" % ("1" * 5000)))
+        try:
+            sys.set_int_max_str_digits(4300)
+            code, out, err = run(capsys, "map", "--phi-inv")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (1, "\n")
+        assert err == "line 2: vertex label has more than 4300 digits (offset 3)\n"
 
 
 class TestRender:

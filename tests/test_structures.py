@@ -1,6 +1,7 @@
 """Path and partition data types: parsing, validation, rendering."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -220,6 +221,22 @@ class TestParsePartition:
         with pytest.raises(ParseError, match="start at 1") as info:
             parse_partition("{00}")
         assert info.value.offset == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() has no digit limit before Python 3.11",
+    )
+    def test_label_past_the_digit_limit_of_int(self):
+        # the limit guards int() against quadratic input and stays on
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(ParseError, match="more than 4300 digits") as info:
+                parse_partition("{1," + "1" * 5000 + "}")
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert info.value.offset == 3
 
     def test_coverage_gap(self):
         with pytest.raises(PartitionError, match="vertex 2 missing"):
