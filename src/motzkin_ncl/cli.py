@@ -163,7 +163,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     stream, count = _family_stream(args.family, args.n)
     raw = os.environ.get(GUARD_ENV)
     try:
-        guard = GUARD_DEFAULT if raw is None else int(raw)
+        with _any_digits():  # a guard of any length is read, not refused
+            guard = GUARD_DEFAULT if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
     if args.limit is not None:
@@ -175,11 +176,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 f"refusing to stream {predicted} objects (guard {guard}); "
                 f"pass --limit or raise {GUARD_ENV}"
             )
+    if args.format == "jsonl":
+        stream = (_jsonl(args.family, args.n, text) for text in stream)
     for text in stream:
-        if args.format == "jsonl":
-            print(_jsonl(args.family, args.n, text))
-        else:
-            print(text)
+        sys.stdout.write(text + "\n")
     return 0
 
 
@@ -205,7 +205,7 @@ def _map_transform(args: argparse.Namespace) -> Callable[[str], str]:
 def cmd_map(args: argparse.Namespace) -> int:
     transform = _map_transform(args)
     if args.object is not None:
-        print(transform(args.object))
+        sys.stdout.write(transform(args.object) + "\n")
         return 0
     # one line at a time, split at "\n" only; a "\r" before it is dropped
     for number, line in enumerate(sys.stdin, 1):
@@ -213,7 +213,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             out = transform(line.removesuffix("\n").removesuffix("\r"))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
-        print(out)
+        sys.stdout.write(out + "\n")
     return 0
 
 

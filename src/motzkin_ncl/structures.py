@@ -33,17 +33,27 @@ normalises its arcs to :class:`Arc` and checks their bounds only, so
 that the validators can still see invalid arc sets.  Producers whose
 output is valid (a path) or in range (a partition) by construction skip
 those steps through the one private :func:`_unchecked`.
+
+A partition's text lists its blocks, such as ``{1,3,4}{2}``.
+:func:`parse_partition` checks the grammar with one compiled pattern,
+reads the labels with ``str.split`` and ``int``, and runs every other
+check on the int lists; the character offset of an error is found only
+once there is one.  :func:`render_partition` and :func:`blocks_of` take
+the blocks from one sort of the arcs, grouped by left end.  No Python
+loop runs per character on either side; the one Python step per arc
+makes its :class:`Arc`.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain, groupby
+from operator import itemgetter, neg
 from typing import Iterator, NamedTuple
 
-_DIGITS = frozenset("0123456789")
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 _PATH_ALPHABET = frozenset(_DELTA)
 
@@ -318,9 +328,20 @@ class LinkedPartition:
     def __str__(self) -> str:
         return render_partition(self)
 
-    @cached_property
-    def _text(self) -> str:  # render_partition's result, made once
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in blocks_of(self))
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+_new_arc = partial(tuple.__new__, Arc)  # an Arc from a pair, at C speed
+
+
+def _block_entries(p: LinkedPartition) -> list[tuple[int, int]]:
+    """The arcs plus an entry (v, -v) for each block minimum v, in one
+    sort: grouped by left end, each block's entries are its minimum's,
+    then its arcs by right end, and the blocks come by minimum.  The
+    minima are the vertices that send an arc or receive none."""
+    inner = set(map(_second, p.arcs)).difference(map(_first, p.arcs))
+    minima = set(range(1, p.n + 1)) - inner
+    return sorted(chain(p.arcs, zip(minima, map(neg, minima))))
 
 
 def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
@@ -330,94 +351,108 @@ def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
     arc-free vertices are singleton blocks.  Vertices that only receive
     an arc appear inside their sender's block.
     """
-    outgoing: dict[int, list[int]] = {}
-    incoming = set()
-    for a, b in p.arcs:
-        outgoing.setdefault(a, []).append(b)
-        incoming.add(b)
-    blocks = []
-    for v in range(1, p.n + 1):
-        if v in outgoing:
-            blocks.append((v, *sorted(outgoing[v])))
-        elif v not in incoming:
-            blocks.append((v,))
-    return tuple(blocks)
+    return tuple(
+        tuple(map(abs, map(_second, entries)))
+        for _, entries in groupby(_block_entries(p), _first)
+    )
 
 
 def render_partition(p: LinkedPartition) -> str:
     """Canonical text: blocks by increasing minimum, elements ascending.
-    Each object renders once and keeps its text."""
-    return p._text
+    Each object renders once and keeps its text as ``_text``."""
+    text = p.__dict__.get("_text")
+    if text is None:
+        # a block minimum's entry carries its label negated, so in the
+        # joined labels "-1,3,4,-2" each minus sign opens a block
+        labels = map(_second, _block_entries(p))
+        text = "{" + ",".join(map(str, labels)).replace(",-", "}{")[1:] + "}"
+        p.__dict__["_text"] = text  # frozen: bypass __setattr__
+    return text
 
 
-def _read_label(text: str, i: int) -> tuple[int, int]:
-    j = i
-    while j < len(text) and text[j] in _DIGITS:
-        j += 1
-    if j == i:
-        raise ParseError("expected a vertex label", i)
-    try:
-        return int(text[i:j]), j
-    except ValueError:  # past int()'s digit limit, kept against quadratic input
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"vertex label has more than {limit} digits", i) from None
+# The longest prefix of a text that block text can begin with: whole
+# blocks, then at most one open block.  A text is block text when this
+# matches all of it and it ends by closing a block.
+_BLOCK_TEXT = re.compile(r"(?:\{[0-9]+(?:,[0-9]+)*\})*(?:\{(?:[0-9]+,)*[0-9]*)?")
 
 
 def parse_partition(text: str) -> LinkedPartition:
     """Read a partition from block text like ``{1,3,4}{2}``.
 
-    Blocks may arrive in any order, but the family must cover 1..n with
-    no gaps and must satisfy the nearly-disjoint rule; redundant
-    presentations such as ``{1}{1,2}`` are rejected here.  Crossing arcs
-    are *not* rejected here; that is :func:`validate_ncl`'s job.
+    Blocks may arrive in any order, and so may the labels in a block,
+    with leading zeros allowed.  The family must cover 1..n with no gaps
+    and must satisfy the nearly-disjoint rule; redundant presentations
+    such as ``{1}{1,2}`` are rejected here.  Crossing arcs are *not*
+    rejected here; that is :func:`validate_ncl`'s job.  The first error
+    in text order is reported, at its offset.
     """
-    if not text:
-        raise ParseError("expected '{'", 0)
-    blocks: list[list[int]] = []
-    i = 0
-    while i < len(text):
-        if text[i] != "{":
-            raise ParseError("expected '{'", i)
-        i += 1
-        block: set[int] = set()
-        while True:
-            start = i
-            label, i = _read_label(text, i)
-            if label < 1:
-                raise ParseError("vertex labels start at 1", start)
-            if label in block:
-                raise ParseError(f"duplicate label {label} in block", start)
-            block.add(label)
-            if i >= len(text):
-                raise ParseError("unterminated block", i)
-            if text[i] == ",":
-                i += 1
-                continue
-            if text[i] == "}":
-                i += 1
-                break
-            raise ParseError("expected ',' or '}'", i)
-        blocks.append(sorted(block))
-    seen = sorted({v for block in blocks for v in block})
-    n = seen[-1]
-    if len(seen) < n:
-        missing = next(v for v, w in enumerate(seen, 1) if v != w)
+    stop = _BLOCK_TEXT.match(text).end()
+    if stop < len(text) or not text.endswith("}"):
+        raise _label_error(text, stop) or _syntax_error(text, stop)
+    parts = text[1:-1].split("}{")
+    try:
+        blocks = [sorted({*map(int, part.split(","))}) for part in parts]
+    except ValueError:  # past int()'s digit limit, kept against quadratic input
+        raise _label_error(text, stop) from None
+    written = text.count(",")  # the arcs as written: k labels in a block give k - 1
+    minima = set(map(_first, blocks))
+    if min(minima) < 1 or sum(map(len, blocks)) < written + len(blocks):
+        raise _label_error(text, stop)  # a label 0, or one repeated in its block
+    arcs = frozenset([_new_arc((block[0], v)) for block in blocks for v in block[1:]])
+    rights = set(map(_second, arcs))
+    vertices = rights | minima
+    n = max(vertices)
+    if len(vertices) < n:
+        missing = next(v for v, w in enumerate(sorted(vertices), 1) if v != w)
         raise PartitionError(f"vertex {missing} missing; blocks must cover 1..{n}")
-    ordered = sorted(tuple(b) for b in blocks)
     # the family is nearly disjoint exactly when no vertex is the minimum
     # of two blocks or a non-minimum (an arc's right end) of two, and no
     # singleton's vertex is a non-minimum elsewhere
-    rights = [v for block in ordered for v in block[1:]]
-    right_set = set(rights)
     if (
-        len({block[0] for block in ordered}) < len(ordered)
-        or len(right_set) < len(rights)
-        or any(len(block) == 1 and block[0] in right_set for block in ordered)
+        len(minima) < len(blocks)
+        or len(rights) < written
+        or not rights.isdisjoint(minima.difference(map(_first, arcs)))
     ):
+        ordered = sorted(map(tuple, blocks))
         first, second = _first_clash(ordered)
         raise NearlyDisjointViolation(ordered[first], ordered[second])
-    arcs = frozenset(Arc(block[0], v) for block in ordered for v in block[1:])
     return _unchecked(LinkedPartition, n=n, arcs=arcs)
+
+
+def _label_error(text: str, stop: int) -> ParseError | None:
+    """The error of the first label in ``text[:stop]``, a run of whole
+    and open blocks, that is past int()'s digit limit, below 1, or
+    repeated in its block; None when every label there is good."""
+    start = 0  # where the block's "{" is
+    for part in text[:stop].split("{")[1:]:
+        at, block = start + 1, set()
+        for digits in part.removesuffix("}").split(","):
+            if digits:  # an open block may end in "{" or ","
+                try:
+                    label = int(digits)
+                except ValueError:
+                    limit = sys.get_int_max_str_digits()
+                    return ParseError(f"vertex label has more than {limit} digits", at)
+                if label < 1:
+                    return ParseError("vertex labels start at 1", at)
+                if label in block:
+                    return ParseError(f"duplicate label {label} in block", at)
+                block.add(label)
+            at += len(digits) + 1
+        start += len(part) + 1
+    return None
+
+
+def _syntax_error(text: str, stop: int) -> ParseError:
+    """The error at ``stop``, where block text stops matching ``text``."""
+    after = text[stop - 1] if stop else "}"
+    if after == "}":
+        return ParseError("expected '{'", stop)
+    if after in "{,":
+        return ParseError("expected a vertex label", stop)
+    if stop == len(text):
+        return ParseError("unterminated block", stop)
+    return ParseError("expected ',' or '}'", stop)
 
 
 def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[int, int]:
@@ -468,11 +503,13 @@ def _nearly_disjoint(block_a: tuple[int, ...], block_b: tuple[int, ...]) -> bool
 
 def validate_ncl(p: LinkedPartition) -> LinkedPartition:
     """Arc-level acceptance: in-degree at most one, no crossing arcs."""
-    rights = set()
-    for _, b in sorted(p.arcs):
-        if b in rights:
-            raise InDegree(b)
-        rights.add(b)
+    if len(set(map(_second, p.arcs))) < len(p.arcs):
+        # name the first right end that repeats, in sorted arc order
+        rights = set()
+        for _, b in sorted(p.arcs):
+            if b in rights:
+                raise InDegree(b)
+            rights.add(b)
     # sweep arcs by left endpoint, longest first: the arcs still open
     # over the current left endpoint are nested, innermost on top, so a
     # new arc crosses one of them exactly when it outlasts the top one

@@ -1,5 +1,7 @@
 """The path <-> partition bijection, case by case and exhaustively."""
 
+import hashlib
+
 import pytest
 
 import motzkin_ncl.bijection
@@ -63,6 +65,43 @@ class TestForward:
         for n in range(6):
             for path in gen_large(n):
                 assert path_to_partition(path).n == n + 1
+
+
+# phi pointwise, as the recursive map makes it: for each n the SHA-256 of
+# render_partition(phi(p)) over gen_large(n), one image per line, so a
+# rewrite of phi must give every image back, not just a bijection
+PHI_IMAGE_DIGESTS = {
+    0: "cd80994abb0d1e0465acdc560717676578c1774f461babbe67b4b131497a6305",
+    1: "b0dbe372ab04e06e53533330d88741876493b5898501888b579a28ca5f3b1672",
+    2: "d4284dca511cda687421c40d5f50608926d1e6cf8293a432c84dba47c6a380a1",
+    3: "d16df5392f9adfd7df600b3b57e6f156824aae8977e3043d7fcfd670295080b5",
+    4: "7840fab2d764c8e9860068049b04d74b2877277a5bfa96d5d3b6750b35e390f1",
+    5: "efd62b00b5a04e4d1f39407bb685efa9811132c6b59b4af23f509fed2e31cf6a",
+    6: "578f02cd3a79018128004d0e4cac4218ba337b56901bf5d0c753d17fb2ae630f",
+    7: "265f1b5892184c101fa1c198c4b9ed45c16757ec4002f67217ea8c4e2dcad4f8",
+    8: "4f34f7a1547424c002a2a195f0b8c50cd3622ddbdacba7f926c8ca1f149cabce",
+}
+
+# images of deep shapes written out: a nest, b-levels inside a nest, a
+# chain of Ucx on the axis, and two Ucy side by side inside a nest
+PINNED_IMAGES = [
+    ("UUUxxx", "{1,2,3,4,5,6,7}"),
+    ("UUUbbbyyy", "{1,6,8,10}{2}{3}{4}{5}{7}{9}"),
+    ("UcxUcxUcx", "{1,2,4}{2,3}{4,5,7}{5,6}{7,8,10}{8,9}"),
+    ("UUcyUcyx", "{1,4,8,9}{2,3}{4,7}{5,6}"),
+]
+
+
+class TestPinnedImages:
+    @pytest.mark.parametrize("n", sorted(PHI_IMAGE_DIGESTS))
+    def test_every_image_up_to_length_8(self, n):
+        images = "\n".join(render_partition(path_to_partition(p)) for p in gen_large(n))
+        assert hashlib.sha256(images.encode()).hexdigest() == PHI_IMAGE_DIGESTS[n]
+
+    @pytest.mark.parametrize("path,partition", PINNED_IMAGES)
+    def test_deep_shapes(self, path, partition):
+        assert render_partition(path_to_partition(path)) == partition
+        assert partition_to_path(partition).text == path
 
 
 class TestInverse:

@@ -130,6 +130,22 @@ class TestEnumerate:
         assert code == 1 and out == ""
         assert err == "SCHRODER_MAX_OBJECTS must be an integer, got 'abc'\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() has no digit limit before Python 3.11",
+    )
+    def test_guard_past_the_int_to_str_digit_limit(self, capsys, monkeypatch):
+        # a guard longer than int() reads by default is still a number
+        monkeypatch.setenv("SCHRODER_MAX_OBJECTS", "1" * 5000)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            code, out, err = run(capsys, "enumerate", "--family", "large", "--n", "3")
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "") and len(out.splitlines()) == 22
+
     def test_schroder_families(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "schroder-little", "--n", "2")
         assert code == 0

@@ -35,6 +35,9 @@ from motzkin_ncl import (
 )
 from motzkin_ncl.structures import _nearly_disjoint, ascii_rows
 
+# labels past int()'s digit limit exist from Python 3.11 on
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 class TestSteps:
     def test_deltas(self):
@@ -289,6 +292,180 @@ class TestParsePartition:
                 assert (info.value.block_a, info.value.block_b) == expected, text
 
 
+def _vertex_loop_blocks(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
+    """An independent block oracle: walk the vertices in order; one that
+    sends arcs opens a block with their right ends, and one that neither
+    sends nor receives is a singleton."""
+    outgoing: dict[int, list[int]] = {}
+    incoming = set()
+    for a, b in p.arcs:
+        outgoing.setdefault(a, []).append(b)
+        incoming.add(b)
+    blocks = []
+    for v in range(1, p.n + 1):
+        if v in outgoing:
+            blocks.append((v, *sorted(outgoing[v])))
+        elif v not in incoming:
+            blocks.append((v,))
+    return tuple(blocks)
+
+
+def _joined_blocks_text(p: LinkedPartition) -> str:
+    return "".join("{" + ",".join(map(str, b)) + "}" for b in _vertex_loop_blocks(p))
+
+
+def _scanned_partition(text: str) -> LinkedPartition:
+    """An independent parser oracle: a character scanner that checks each
+    label as it reads it, so the first error in text order wins, then
+    checks coverage and names the first clashing pair of the sorted
+    blocks by the pairwise definition."""
+    if not text:
+        raise ParseError("expected '{'", 0)
+    blocks = []
+    i = 0
+    while i < len(text):
+        if text[i] != "{":
+            raise ParseError("expected '{'", i)
+        i += 1
+        block = set()
+        while True:
+            start = i
+            while i < len(text) and text[i] in "0123456789":
+                i += 1
+            if i == start:
+                raise ParseError("expected a vertex label", start)
+            try:
+                label = int(text[start:i])
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                message = f"vertex label has more than {limit} digits"
+                raise ParseError(message, start) from None
+            if label < 1:
+                raise ParseError("vertex labels start at 1", start)
+            if label in block:
+                raise ParseError(f"duplicate label {label} in block", start)
+            block.add(label)
+            if i >= len(text):
+                raise ParseError("unterminated block", i)
+            if text[i] == "}":
+                i += 1
+                break
+            if text[i] != ",":
+                raise ParseError("expected ',' or '}'", i)
+            i += 1
+        blocks.append(tuple(sorted(block)))
+    seen = sorted({v for block in blocks for v in block})
+    n = seen[-1]
+    for v, w in enumerate(seen, 1):
+        if v != w:
+            raise PartitionError(f"vertex {v} missing; blocks must cover 1..{n}")
+    ordered = sorted(blocks)
+    for i, block_a in enumerate(ordered):
+        for block_b in ordered[i + 1 :]:
+            if not _nearly_disjoint(block_a, block_b):
+                raise NearlyDisjointViolation(block_a, block_b)
+    return LinkedPartition(n, [(block[0], v) for block in blocks for v in block[1:]])
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: (n, arcs), or the error it raises
+    as (class, message, offset)."""
+    try:
+        p = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return p.n, p.arcs
+
+
+# "٣" (Arabic-Indic three) is a digit to str.isdigit() and int(), not to
+# block text
+_STRAY = "٣"
+
+
+def _label_text(draw, label: str) -> str:
+    """``label`` as written, now and then with leading zeros."""
+    return "0" * draw(st.sampled_from([0] * 8 + [1, 2])) + label
+
+
+@st.composite
+def block_texts(draw):
+    """Block text near the grammar, then maybe one edit (a character
+    inserted or dropped, or the text cut short).  The blocks are those of
+    an arc set, in-degree two included, shuffled; or random labels up to
+    9, rarely 0 or one past int()'s digit limit (where there is one).
+    Now and then a raw string over the alphabet plus one stray character.
+    """
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.text(alphabet="{},0123456789" + _STRAY, max_size=16))
+    if kind <= 5:
+        arc_set_blocks = _vertex_loop_blocks(draw(any_arc_sets(max_n=9)))
+        blocks = [
+            list(map(str, draw(st.permutations(block))))
+            for block in draw(st.permutations(arc_set_blocks))
+        ]
+    else:
+        labels = [str(v) for v in range(1, 10)] * 3 + ["0"]
+        if DIGIT_LIMIT:
+            labels.append("1" * (DIGIT_LIMIT + 1))
+        label = st.sampled_from(labels)
+        blocks = draw(
+            st.lists(st.lists(label, min_size=1, max_size=4), min_size=1, max_size=5)
+        )
+    text = "".join(
+        "{" + ",".join(_label_text(draw, v) for v in block) + "}" for block in blocks
+    )
+    edit = draw(st.integers(0, 5))
+    at = draw(st.integers(0, len(text)))
+    if edit == 0:
+        return text[:at] + draw(st.sampled_from("{},0123456789" + _STRAY)) + text[at:]
+    if edit == 1:
+        return text[:at] + text[at + 1 :]
+    if edit == 2:
+        return text[:at]
+    return text
+
+
+class TestParseOracle:
+    @given(block_texts())
+    def test_agrees_with_the_scanner(self, text):
+        # the same partition, made of Arc objects, or the same error
+        # class, message and offset
+        outcome = _outcome(parse_partition, text)
+        assert outcome == _outcome(_scanned_partition, text)
+        if not isinstance(outcome[0], type):
+            assert all(type(arc) is Arc for arc in outcome[1])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "{", "}", "{}", "{,", "{1", "{1,", "{1,}", "{1}}", "{1}x", "{1x",
+            "{1,2}{3", "{0", "{1,0x", "{1,1", "{2,2}{1}", "{1}{3}", "{01,2}",
+            "{1,2}{2,3}", "{1,3}{2}", "{3,1,2}", "{1,2}{1,3}", "{1}{1,2}",
+            "{1,2}{1,2}", "{1,3,4}{2,3}", "{1,2,3}{2}", "{1,2}" + _STRAY,
+            "{1," + _STRAY + "}", "{" + _STRAY + "}",
+        ],
+    )
+    def test_agrees_on_each_rule(self, text):
+        assert _outcome(parse_partition, text) == _outcome(_scanned_partition, text)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit before 3.11")
+    def test_the_first_bad_label_in_text_order_wins(self):
+        long = "1" * (DIGIT_LIMIT + 1)
+        for text in (
+            "{0," + long + "}", "{" + long + ",0}", "{1,1," + long + "}",
+            "{" + long + ",1,1}", "{0x", "{1,2,2,", "{1}{" + long,
+        ):
+            assert _outcome(parse_partition, text) == _outcome(
+                _scanned_partition, text
+            ), text
+
+    def test_leading_zeros_are_read(self):
+        p = parse_partition("{01,2}")
+        assert (p.n, p.arcs) == (2, frozenset({Arc(1, 2)}))
+        assert render_partition(p) == "{1,2}"
+
+
 class TestValidators:
     def test_crossing_detected(self):
         p = parse_partition("{1,3}{2,4}")
@@ -448,6 +625,33 @@ class TestRenderOracle:
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError):
             ascii_rows("Ux")
+
+
+class TestBlockOracle:
+    @given(any_arc_sets())
+    def test_blocks_and_text_match_the_vertex_loop(self, p):
+        # arc sets with in-degree two and crossing ones included
+        assert blocks_of(p) == _vertex_loop_blocks(p)
+        assert render_partition(p) == _joined_blocks_text(p)
+
+    def test_invalid_arc_sets_render_as_built(self):
+        p = LinkedPartition(4, [(1, 3), (2, 3), (1, 4)])
+        assert render_partition(p) == "{1,3,4}{2,3}"
+        assert blocks_of(p) == ((1, 3, 4), (2, 3))
+
+    def test_text_is_kept(self):
+        p = LinkedPartition(3, [(1, 3)])
+        assert render_partition(p) is render_partition(p) == "{1,3}{2}"
+
+    @given(any_arc_sets())
+    def test_in_degree_names_the_first_repeat_in_sorted_order(self, p):
+        rights = [b for _, b in sorted(p.arcs)]
+        repeats = [b for i, b in enumerate(rights) if b in rights[:i]]
+        if not repeats:
+            return
+        with pytest.raises(InDegree) as info:
+            validate_ncl(p)
+        assert info.value.vertex == repeats[0]
 
 
 class TestLargePartitions:
