@@ -13,7 +13,6 @@ from .bijection import (
     CaseTag,
     StructureError,
     classify_component,
-    concat_merge,
     partition_to_path,
     path_to_partition,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "StructureError",
     "blocks_of",
     "classify_component",
-    "concat_merge",
     "double",
     "gen_large",
     "gen_motzkin32",

@@ -2,34 +2,27 @@
 noncrossing linked partitions of {1..n+1}.
 
 Both directions work on text words and validate their input once: the
-forward map then recurses on slices of the word, and the inverse
-assembles the word from the components of its partition.  Every
-partition built on the way is in range by construction, so it skips the
-public constructor's normalisation.  Input nested past the recursion
-limit raises ValueError.
+forward map then recurses on slices of the word and builds its one
+partition from the arcs at the end, and the inverse assembles the word
+from the components of its partition.  Every partition built on the way
+is in range by construction, so it skips the public constructor's
+normalisation.  Input nested past the recursion limit raises ValueError.
 
-Forward direction, component by component.  An axis level step of color
-1 becomes the two-vertex block {1,2}; color 2 becomes two singletons.
-An elevated component of length p maps to a partition of p+1 vertices
-according to its closing color and to whether its interior carries
-axis-level color-3 steps:
+Forward direction, on arcs (min B, v), one per non-minimal element v of
+a block B.  A word's arcs are its components' arcs laid end to end,
+each component's last vertex the next one's first.  An axis level step
+of color 1 becomes the arc (1, 2); color 2 becomes no arc.  An elevated
+component ``U w x`` or ``U w y`` of length p lives on 1..p+1 by one
+rule: the segments of w, cut at its axis-level color-3 steps, are laid
+end to end from vertex 1, each tied by an arc from its first vertex to
+the vertex just past its last; closing color 2 leaves the first segment
+untied; and vertex 1 hooks p+1.  The inverse tells the rule's four
+outcomes apart (closing color, one segment or several) as
+:class:`CaseTag` values.
 
-* closing color 1, plain interior: the interior's partition sits on
-  vertices 1..p-1 and vertex 1 hooks both p and p+1;
-* closing color 1, split interior: each segment's partition gets one
-  extra arc tying its first vertex to the vertex just past its last,
-  the pieces are chained end to end across 1..p, and vertex 1 hooks
-  p+1;
-* closing color 2, plain interior: as the first case but vertex p stays
-  arc-free, only p+1 is hooked;
-* closing color 2, split interior: the first segment's partition sits
-  at 1..t+1 unchained, the remaining segments chain across t+2..p, and
-  vertex 1 hooks p+1.
-
-Component images then merge at shared endpoints, last vertex to first
-vertex.  The inverse reads a valid partition back: cut at uncovered
-vertices, and inside each component either peel the outer arc directly
-(plain cases, told apart by whether vertex q hangs on an arc) or walk
+The inverse reads a valid partition back: cut at uncovered vertices,
+and inside each component either peel the outer arc directly (plain
+cases, told apart by whether vertex q hangs on an arc) or walk
 backwards from vertex q along incoming arcs to recover the chain, whose
 stops cut the support into the segments.
 """
@@ -37,7 +30,6 @@ stops cut the support into the segments.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 from .decompose import (
     arc_reachable,
@@ -77,68 +69,46 @@ class CaseTag(Enum):
     UD2_CHAIN = "ud2-chain"
 
 
-def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
-    """Glue partitions left to right, merging last vertex with first.
-
-    Sizes q_i + 1 combine to 1 + sum(q_i); arcs shift accordingly.
-    """
-    if not parts:
-        raise ValueError("concat_merge needs at least one part")
-    arcs = set(parts[0].arcs)
-    offset = parts[0].n - 1
-    for part in parts[1:]:
-        arcs.update(Arc(a + offset, b + offset) for a, b in part.arcs)
-        offset += part.n - 1
-    return _unchecked(LinkedPartition, n=offset + 1, arcs=frozenset(arcs))
-
-
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
+    word = validate_large(path).text
     try:
-        return _word_partition(validate_large(path).text)
+        pairs = _word_arcs(word)
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
+    arcs = frozenset(map(Arc._make, pairs))
+    return _unchecked(LinkedPartition, n=len(word) + 1, arcs=arcs)
 
 
-def _word_partition(word: str) -> LinkedPartition:
+def _word_arcs(word: str) -> list[tuple[int, int]]:
+    """The arcs of a word's image on 1..len(word)+1, as plain pairs."""
     components = factor_components(word)
-    if not components:
-        return _unchecked(LinkedPartition, n=1, arcs=frozenset())
-    return concat_merge([_component_partition(c) for c in components])
+    arcs: list[tuple[int, int]] = []
+    start = 0  # the component sits on start+1..start+len+1
+    # a comprehension, not a loop: its frame keeps φ at three frames per
+    # nesting level before Python 3.12, where README's depth table has it
+    for component, inner in zip(components, [_component_arcs(c) for c in components]):
+        arcs += [(a + start, b + start) for a, b in inner] if start else inner
+        start += len(component)
+    return arcs
 
 
-def _component_partition(component: str) -> LinkedPartition:
+def _component_arcs(component: str) -> list[tuple[int, int]]:
+    """The arcs of a component's image on 1..p+1, for length p."""
     if component == "a":
-        return _unchecked(LinkedPartition, n=2, arcs=frozenset({Arc(1, 2)}))
+        return [(1, 2)]
     if component == "b":
-        return _unchecked(LinkedPartition, n=2, arcs=frozenset())
-    segments = split_axis_l3(component[1:-1])
-    p = len(component)
-    if component[-1] == "x":
-        if len(segments) == 1:
-            interior = _word_partition(segments[0])  # on 1..p-1
-            arcs = interior.arcs | {Arc(1, p), Arc(1, p + 1)}
-        else:
-            chained = concat_merge([_tied_segment(s) for s in segments])  # on 1..p
-            arcs = chained.arcs | {Arc(1, p + 1)}
-    elif len(segments) == 1:
-        interior = _word_partition(segments[0])  # on 1..p-1, p stays free
-        arcs = interior.arcs | {Arc(1, p + 1)}
-    else:
-        head = _word_partition(segments[0])  # on 1..t1+1
-        tail = concat_merge([_tied_segment(s) for s in segments[1:]])
-        shift = head.n  # tail occupies t1+2..p, one past the head
-        arcs = set(head.arcs)
-        arcs.update(Arc(a + shift, b + shift) for a, b in tail.arcs)
-        arcs.add(Arc(1, p + 1))
-    return _unchecked(LinkedPartition, n=p + 1, arcs=frozenset(arcs))
-
-
-def _tied_segment(segment: str) -> LinkedPartition:
-    """A segment's partition plus the arc tying vertex 1 one past its end."""
-    base = _word_partition(segment)
-    end = base.n + 1
-    return _unchecked(LinkedPartition, n=end, arcs=base.arcs | {Arc(1, end)})
+        return []
+    arcs = [(1, len(component) + 1)]
+    start = 0  # the segment sits on start+1..end
+    for i, segment in enumerate(split_axis_l3(component[1:-1])):
+        inner = _word_arcs(segment)
+        arcs += [(a + start, b + start) for a, b in inner] if start else inner
+        end = start + len(segment) + 1
+        if i or component[-1] == "x":  # closing color 2 leaves the first one untied
+            arcs.append((start + 1, end + 1))
+        start = end
+    return arcs
 
 
 def classify_component(component: LinkedPartition) -> CaseTag:

@@ -1,8 +1,15 @@
 """The path <-> partition bijection, case by case and exhaustively."""
 
 import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import given, strategies as st
 
 import motzkin_ncl.bijection
 from motzkin_ncl import (
@@ -11,7 +18,6 @@ from motzkin_ncl import (
     LinkedPartition,
     StructureError,
     classify_component,
-    concat_merge,
     gen_large,
     gen_ncl,
     parse_partition,
@@ -20,7 +26,8 @@ from motzkin_ncl import (
     render_partition,
     validate_large,
 )
-from motzkin_ncl.decompose import outer_decompose
+from motzkin_ncl.decompose import factor_components, outer_decompose, split_axis_l3
+from motzkin_ncl.structures import _unchecked
 
 # every base case and one representative of each elevated case
 KNOWN_PAIRS = [
@@ -65,6 +72,21 @@ class TestForward:
         for n in range(6):
             for path in gen_large(n):
                 assert path_to_partition(path).n == n + 1
+
+    @pytest.mark.parametrize(
+        "word", ["U" * 50 + "x" * 50, "Ucx" * 50], ids=["nested", "chain"]
+    )
+    def test_builds_one_partition(self, word, monkeypatch):
+        built = []
+        unchecked = motzkin_ncl.bijection._unchecked
+
+        def counting(cls, **fields):
+            built.append(cls)
+            return unchecked(cls, **fields)
+
+        monkeypatch.setattr(motzkin_ncl.bijection, "_unchecked", counting)
+        assert path_to_partition(word).n == len(word) + 1
+        assert built == [LinkedPartition]
 
 
 # phi pointwise, as the recursive map makes it: for each n the SHA-256 of
@@ -140,6 +162,56 @@ DEEP_WORD = "U" * 2000 + "x" * 2000
 DEEP_BLOCK = "{" + ",".join(map(str, range(1, 4002))) + "}"  # DEEP_WORD's image
 
 
+# the first k at which each map fails on U^k x^k (phi) and on its one-block
+# image (phi inverse), at a given recursion limit, in a fresh interpreter
+FIRST_FAILING = """
+import sys
+from motzkin_ncl import LinkedPartition, partition_to_path, path_to_partition
+
+TOO_DEEP = "input nests too deeply for the recursive maps"
+MAPS = {
+    "phi": lambda k: path_to_partition("U" * k + "x" * k),
+    "phi_inv": lambda k: partition_to_path(
+        LinkedPartition(2 * k + 1, [(1, v) for v in range(2, 2 * k + 2)])
+    ),
+}
+
+
+def fails(run, k):
+    try:
+        run(k)
+    except ValueError as exc:
+        assert str(exc) == TOO_DEEP, exc
+        return True
+    return False
+
+
+limit = int(sys.argv[1])
+sys.setrecursionlimit(limit)
+for name, run in MAPS.items():
+    lo, hi = 1, limit  # each level takes more than one frame: hi fails
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fails(run, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    print(name, lo)
+"""
+
+
+def _first_failing(limit: int) -> dict[str, int]:
+    src = str(Path(motzkin_ncl.bijection.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_FAILING, str(limit)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name: int(k) for name, k in map(str.split, proc.stdout.splitlines())}
+
+
 class TestDepth:
     # both maps recurse once per nesting level; past the recursion limit
     # they raise a ValueError of their own, not the RecursionError
@@ -161,6 +233,17 @@ class TestDepth:
         assert render_partition(path_to_partition("U" * 20 + "x" * 20)) == (
             "{" + ",".join(map(str, range(1, 42))) + "}"
         )
+
+    def test_frames_per_nesting_level(self):
+        # phi: _word_arcs -> its comprehension -> _component_arcs -> _word_arcs;
+        # Python 3.12 inlines comprehensions, one frame less for each map (as
+        # measured on 3.10.13, 3.11.7, 3.12.1 and 3.13.0); the README's table
+        # of the first failing k rests on these counts
+        low, high = _first_failing(400), _first_failing(700)
+        expected = {"phi": 3, "phi_inv": 5}
+        if sys.version_info >= (3, 12):
+            expected = {"phi": 2, "phi_inv": 4}
+        assert {name: 300 / (high[name] - low[name]) for name in low} == expected
 
 
 class TestClassify:
@@ -193,26 +276,119 @@ class TestClassify:
                     assert classify_component(comp) in CaseTag
 
 
-class TestConcatMerge:
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            concat_merge([])
+# The recursive forward map as first written, case by case, kept verbatim
+# as a pointwise oracle for shapes past the pinned digests.
 
-    def test_single_part_is_identity(self):
-        p = parse_partition("{1,2}")
-        assert concat_merge([p]) == p
 
-    def test_merge_glues_last_to_first(self):
-        p = parse_partition("{1,2}")
-        merged = concat_merge([p, p])
-        assert render_partition(merged) == "{1,2}{2,3}"
+def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
+    """Glue partitions left to right, merging last vertex with first.
 
-    def test_merge_offsets_accumulate(self):
-        a = parse_partition("{1,2}")
-        b = parse_partition("{1}{2}")
-        merged = concat_merge([a, b, a])
-        assert merged.n == 4
-        assert merged.arcs == frozenset({Arc(1, 2), Arc(3, 4)})
+    Sizes q_i + 1 combine to 1 + sum(q_i); arcs shift accordingly.
+    """
+    if not parts:
+        raise ValueError("concat_merge needs at least one part")
+    arcs = set(parts[0].arcs)
+    offset = parts[0].n - 1
+    for part in parts[1:]:
+        arcs.update(Arc(a + offset, b + offset) for a, b in part.arcs)
+        offset += part.n - 1
+    return _unchecked(LinkedPartition, n=offset + 1, arcs=frozenset(arcs))
+
+
+def _word_partition(word: str) -> LinkedPartition:
+    components = factor_components(word)
+    if not components:
+        return _unchecked(LinkedPartition, n=1, arcs=frozenset())
+    return concat_merge([_component_partition(c) for c in components])
+
+
+def _component_partition(component: str) -> LinkedPartition:
+    if component == "a":
+        return _unchecked(LinkedPartition, n=2, arcs=frozenset({Arc(1, 2)}))
+    if component == "b":
+        return _unchecked(LinkedPartition, n=2, arcs=frozenset())
+    segments = split_axis_l3(component[1:-1])
+    p = len(component)
+    if component[-1] == "x":
+        if len(segments) == 1:
+            interior = _word_partition(segments[0])  # on 1..p-1
+            arcs = interior.arcs | {Arc(1, p), Arc(1, p + 1)}
+        else:
+            chained = concat_merge([_tied_segment(s) for s in segments])  # on 1..p
+            arcs = chained.arcs | {Arc(1, p + 1)}
+    elif len(segments) == 1:
+        interior = _word_partition(segments[0])  # on 1..p-1, p stays free
+        arcs = interior.arcs | {Arc(1, p + 1)}
+    else:
+        head = _word_partition(segments[0])  # on 1..t1+1
+        tail = concat_merge([_tied_segment(s) for s in segments[1:]])
+        shift = head.n  # tail occupies t1+2..p, one past the head
+        arcs = set(head.arcs)
+        arcs.update(Arc(a + shift, b + shift) for a, b in tail.arcs)
+        arcs.add(Arc(1, p + 1))
+    return _unchecked(LinkedPartition, n=p + 1, arcs=frozenset(arcs))
+
+
+def _tied_segment(segment: str) -> LinkedPartition:
+    """A segment's partition plus the arc tying vertex 1 one past its end."""
+    base = _word_partition(segment)
+    end = base.n + 1
+    return _unchecked(LinkedPartition, n=end, arcs=base.arcs | {Arc(1, end)})
+
+
+_DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
+
+
+def _large_word(choose, length: int) -> str:
+    """A large word of the given length, one feasible step at a time;
+    ``choose`` picks a step from a list of candidates."""
+    chars = []
+    h = 0
+    for i in range(length):
+        remaining = length - i
+        options = []
+        if h + 1 <= remaining - 1:
+            options.append("U")
+        if h <= remaining - 1:
+            options += "abc" if h > 0 else "ab"
+        if h >= 1:
+            options += "xy"
+        chars.append(choose(options))
+        h += _DELTA[chars[-1]]
+    return "".join(chars)
+
+
+@st.composite
+def large_words(draw, max_len=60):
+    length = draw(st.integers(0, max_len))
+    return _large_word(lambda options: draw(st.sampled_from(options)), length)
+
+
+def _shape_words():
+    yield from ("U" * k + "x" * k for k in range(121))
+    yield from ("U" * k + "b" * k + "y" * k for k in range(121))
+    yield from ("Ucx" * k for k in range(201))
+    yield from ("U" + "Ucy" * k + "x" for k in range(201))
+
+
+def _random_words():
+    rng = random.Random(14)
+    return [_large_word(rng.choice, rng.randint(64, 384)) for _ in range(60)]
+
+
+class TestOracle:
+    # the one-rule phi gives the four-case phi's image, arc for arc
+    @given(large_words())
+    def test_large_words_up_to_length_60(self, word):
+        assert path_to_partition(word) == _word_partition(word)
+
+    def test_deep_and_chain_shapes(self):
+        for word in _shape_words():
+            assert path_to_partition(word) == _word_partition(word), word
+
+    def test_seeded_random_paths(self):
+        for word in _random_words():
+            assert path_to_partition(word) == _word_partition(word), word
 
 
 class TestExhaustive:
