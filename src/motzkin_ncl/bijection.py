@@ -16,15 +16,18 @@ component ``U w x`` or ``U w y`` of length p lives on 1..p+1 by one
 rule: the segments of w, cut at its axis-level color-3 steps, are laid
 end to end from vertex 1, each tied by an arc from its first vertex to
 the vertex just past its last; closing color 2 leaves the first segment
-untied; and vertex 1 hooks p+1.  The inverse tells the rule's four
-outcomes apart (closing color, one segment or several) as
-:class:`CaseTag` values.
+untied; and vertex 1 hooks p+1.
 
-The inverse reads a valid partition back: cut at uncovered vertices,
-and inside each component either peel the outer arc directly (plain
-cases, told apart by whether vertex q hangs on an arc) or walk
-backwards from vertex q along incoming arcs to recover the chain, whose
-stops cut the support into the segments.
+The inverse reads the same rule backwards.  A valid partition is cut at
+its uncovered vertices into components.  A two-vertex component is
+``a`` if it has its arc and ``b`` if not.  Any other component, on
+1..q+1, walks back from q along incoming arcs until it reaches 1 or a
+vertex with none: the stops, with 1 in front, cut 1..q into segments,
+each read back as a partition word; the segments joined by ``c``, inside
+``U`` and a closing ``x`` if the walk reached 1 and ``y`` if not, give
+the component's word.  :func:`classify_component` still names the
+rule's four outcomes (closing color, one segment or several) as
+:class:`CaseTag` values, but neither map uses it.
 """
 
 from __future__ import annotations
@@ -146,38 +149,28 @@ def _partition_word(p: LinkedPartition) -> str:
 
 
 def _component_word(component: LinkedPartition) -> str:
-    tag = classify_component(component)
     q = component.n - 1
-    if tag is CaseTag.LEVEL1:
-        return "a"
-    if tag is CaseTag.LEVEL2:
-        return "b"
-    if tag is CaseTag.UD1_PLAIN:
-        return "U" + _interior_word(component, 1, q - 1) + "x"
-    if tag is CaseTag.UD2_PLAIN:
-        return "U" + _interior_word(component, 1, q - 1) + "y"
-
-    # chain cases: walk back from q along incoming arcs; the stops are the
-    # chain vertices, and each gap between consecutive stops holds one
-    # segment's partition
+    if q == 1:
+        return "a" if component.arcs else "b"
+    # walk back from q along incoming arcs; the stops, with 1 in front,
+    # cut 1..q into the segments, and the closing color is 1 (x) exactly
+    # when the walk reaches 1
     incoming = {b: a for a, b in component.arcs}
     stops = [q]
     while stops[-1] in incoming:
         stops.append(incoming[stops[-1]])
+    closing = "x" if stops[-1] == 1 else "y"
+    if closing == "y":
+        stops.append(1)
     stops.reverse()
-    segments = [
-        _interior_word(component, stops[i], stops[i + 1] - 1)
-        for i in range(len(stops) - 1)
-    ]
-    if tag is CaseTag.UD1_CHAIN:
-        if stops[0] != 1:
-            raise StructureError("chain reachable from 1 must walk back to 1")
-        return "U" + "c".join(segments) + "x"
-    if stops[0] == 1:
-        raise StructureError("chain unreachable from 1 walked back to 1")
-    lead = _interior_word(component, 1, stops[0] - 1)
-    return "U" + "c".join([lead, *segments]) + "y"
+    # a plain loop into _segment_word, not a comprehension, which Python
+    # 3.12 inlines: φ⁻¹ keeps five frames per nesting level before 3.12
+    # and four from it, where README's depth table has it
+    words = []
+    for lo, end in zip(stops, stops[1:]):
+        words.append(_segment_word(component, lo, end - 1))
+    return "U" + "c".join(words) + closing
 
 
-def _interior_word(component: LinkedPartition, lo: int, hi: int) -> str:
+def _segment_word(component: LinkedPartition, lo: int, hi: int) -> str:
     return _partition_word(restrict_partition(component, lo, hi))

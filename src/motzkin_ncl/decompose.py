@@ -24,6 +24,7 @@ from .structures import (
     LinkedPartition,
     NegativeHeight,
     NonzeroFinalHeight,
+    _new_arc,
     _unchecked,
 )
 
@@ -87,10 +88,8 @@ def split_axis_l3(text: str) -> tuple[str, ...]:
 
 def restrict_partition(p: LinkedPartition, lo: int, hi: int) -> LinkedPartition:
     """Arcs lying inside [lo, hi], relabeled to 1..hi-lo+1; needs lo <= hi."""
-    arcs = [
-        Arc(a - lo + 1, b - lo + 1) for a, b in p.arcs if lo <= a and b <= hi
-    ]
-    return _unchecked(LinkedPartition, n=hi - lo + 1, arcs=frozenset(arcs))
+    inside = [arc for arc in p.arcs if lo <= arc[0] and arc[1] <= hi]
+    return _relabeled(inside, lo, hi)
 
 
 def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
@@ -101,26 +100,39 @@ def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
     interval between the i-th and (i+1)-th split point, relabeled to
     start at 1, so consecutive components share one vertex.  Every arc
     fits inside one such interval, so the components carry all arcs.
-    Runs in O(n + A) for n vertices and A arcs.
+    Runs in O(n + A log A) for n vertices and A arcs.
     """
-    # v lies strictly inside an arc exactly when an arc starting left of
-    # v ends right of it, so one sweep carrying the furthest right end
-    # seen so far finds the split points and files each arc under the
-    # component it starts in
-    outgoing: list[list[int]] = [[] for _ in range(p.n + 1)]
-    for a, b in p.arcs:
-        outgoing[a].append(b)
+    # an arc starting at a covers no vertex up to a, so in left-end order
+    # a closes the component before it exactly when no arc seen so far
+    # reaches past a; every vertex from that reach up to a is a split
+    # point too, and each gap between two of them is an arcless component
+    arcs = sorted(p.arcs)
     components = []
-    start, reach, arcs = 1, 0, []
-    for v in range(1, p.n + 1):
-        if reach <= v and v > start:  # v closes the component at start
-            size, start = v - start + 1, v
-            components.append(_unchecked(LinkedPartition, n=size, arcs=frozenset(arcs)))
-            arcs = []
-        for b in outgoing[v]:
-            arcs.append(Arc(v - start + 1, b - start + 1))
-            reach = max(reach, b)
+    start = reach = 1  # reach == start: no component is open
+    first = 0  # the open component's first arc
+    for i, (a, b) in enumerate(arcs):
+        if a >= reach:
+            if reach > start:
+                components.append(_relabeled(arcs[first:i], start, reach))
+            components += [_GAP] * (a - reach)
+            start, first = a, i
+        if b > reach:
+            reach = b
+    if reach > start:
+        components.append(_relabeled(arcs[first:], start, reach))
+    components += [_GAP] * (p.n - reach)
     return tuple(components)
+
+
+_GAP = _unchecked(LinkedPartition, n=2, arcs=frozenset())  # the component {1}{2}
+
+
+def _relabeled(arcs: list[Arc], lo: int, hi: int) -> LinkedPartition:
+    """The partition on 1..hi-lo+1 of arcs that lie inside [lo, hi]."""
+    if lo > 1:
+        shift = lo - 1
+        arcs = [_new_arc((a - shift, b - shift)) for a, b in arcs]
+    return _unchecked(LinkedPartition, n=hi - lo + 1, arcs=frozenset(arcs))
 
 
 def arc_reachable(p: LinkedPartition, a: int, b: int) -> bool:

@@ -26,7 +26,12 @@ from motzkin_ncl import (
     render_partition,
     validate_large,
 )
-from motzkin_ncl.decompose import factor_components, outer_decompose, split_axis_l3
+from motzkin_ncl.decompose import (
+    factor_components,
+    outer_decompose,
+    restrict_partition,
+    split_axis_l3,
+)
 from motzkin_ncl.structures import _unchecked
 
 # every base case and one representative of each elevated case
@@ -389,6 +394,101 @@ class TestOracle:
     def test_seeded_random_paths(self):
         for word in _random_words():
             assert path_to_partition(word) == _word_partition(word), word
+
+
+# The inverse map as it read components before the one rule: classify into
+# a CaseTag, then peel or walk back per case.  Kept verbatim as a pointwise
+# oracle for the one-rule inverse.
+
+
+def _partition_word(p: LinkedPartition) -> str:
+    return "".join(_component_word(c) for c in outer_decompose(p))
+
+
+def _component_word(component: LinkedPartition) -> str:
+    tag = classify_component(component)
+    q = component.n - 1
+    if tag is CaseTag.LEVEL1:
+        return "a"
+    if tag is CaseTag.LEVEL2:
+        return "b"
+    if tag is CaseTag.UD1_PLAIN:
+        return "U" + _interior_word(component, 1, q - 1) + "x"
+    if tag is CaseTag.UD2_PLAIN:
+        return "U" + _interior_word(component, 1, q - 1) + "y"
+
+    # chain cases: walk back from q along incoming arcs; the stops are the
+    # chain vertices, and each gap between consecutive stops holds one
+    # segment's partition
+    incoming = {b: a for a, b in component.arcs}
+    stops = [q]
+    while stops[-1] in incoming:
+        stops.append(incoming[stops[-1]])
+    stops.reverse()
+    segments = [
+        _interior_word(component, stops[i], stops[i + 1] - 1)
+        for i in range(len(stops) - 1)
+    ]
+    if tag is CaseTag.UD1_CHAIN:
+        if stops[0] != 1:
+            raise StructureError("chain reachable from 1 must walk back to 1")
+        return "U" + "c".join(segments) + "x"
+    if stops[0] == 1:
+        raise StructureError("chain unreachable from 1 walked back to 1")
+    lead = _interior_word(component, 1, stops[0] - 1)
+    return "U" + "c".join([lead, *segments]) + "y"
+
+
+def _interior_word(component: LinkedPartition, lo: int, hi: int) -> str:
+    return _partition_word(restrict_partition(component, lo, hi))
+
+
+class TestInverseOracle:
+    # the one-rule inverse reads the four-case inverse's word, letter for
+    # letter, on the same shapes as TestOracle
+    @given(large_words())
+    def test_images_of_large_words_up_to_length_60(self, word):
+        q = path_to_partition(word)
+        assert partition_to_path(q).text == _partition_word(q)
+
+    def test_images_of_deep_and_chain_shapes(self):
+        for word in _shape_words():
+            q = path_to_partition(word)
+            assert partition_to_path(q).text == _partition_word(q), word
+
+    def test_images_of_seeded_random_paths(self):
+        for word in _random_words():
+            q = path_to_partition(word)
+            assert partition_to_path(q).text == _partition_word(q), word
+
+
+class TestInverseWork:
+    # the README's worked partition, then one component of each chain case:
+    # their words, and the tags the four-case inverse dispatched on
+    @pytest.mark.parametrize(
+        "partition,word,tags",
+        [
+            (
+                "{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}",
+                "UbxUbUxcUycy",
+                [CaseTag.UD1_PLAIN, CaseTag.UD2_CHAIN],
+            ),
+            ("{1,2,3,9}{3,5}{4}{5,6,7,8}", "UacbcUxx", [CaseTag.UD1_CHAIN]),
+            ("{1,9}{2}{3,4,5}{5,6,7,8}", "UbcacUxy", [CaseTag.UD2_CHAIN]),
+        ],
+        ids=["readme", "x-chain", "y-chain"],
+    )
+    def test_reads_components_without_classifying(self, partition, word, tags, monkeypatch):
+        q = parse_partition(partition)
+        assert render_partition(path_to_partition(word)) == partition
+        assert [classify_component(c) for c in outer_decompose(q)] == tags
+
+        def refuse(component):
+            raise AssertionError("the maps read components by one rule")
+
+        monkeypatch.setattr(motzkin_ncl.bijection, "classify_component", refuse)
+        assert partition_to_path(q).text == word
+        assert partition_to_path(partition).text == word
 
 
 class TestExhaustive:

@@ -80,6 +80,16 @@ class TestBijectionProperties:
         assert covered == set(range(1, p.n + 1))
 
 
+class TestArcCount:
+    # one arc per non-minimal element: the vertices with no incoming arc
+    # are vertex 1 and one per b and y step, so every U, a, c and x step
+    # gives its image exactly one arc
+    @given(motzkin_words(max_len=60))
+    def test_one_arc_per_u_a_c_x_step(self, word):
+        arcs = path_to_partition(word).arcs
+        assert len(arcs) == sum(map(word.count, "Uacx"))
+
+
 class TestDecomposeProperties:
     @given(motzkin_words())
     def test_components_concatenate_to_word(self, word):
