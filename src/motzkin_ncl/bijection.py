@@ -23,11 +23,12 @@ its uncovered vertices into components.  A two-vertex component is
 ``a`` if it has its arc and ``b`` if not.  Any other component, on
 1..q+1, walks back from q along incoming arcs until it reaches 1 or a
 vertex with none: the stops, with 1 in front, cut 1..q into segments,
-each read back as a partition word; the segments joined by ``c``, inside
-``U`` and a closing ``x`` if the walk reached 1 and ``y`` if not, give
-the component's word.  :func:`classify_component` still names the
-rule's four outcomes (closing color, one segment or several) as
-:class:`CaseTag` values, but neither map uses it.
+each read back as a partition word (one vertex is the empty word, and
+two read as a two-vertex component does); the segments joined by
+``c``, inside ``U`` and a closing ``x`` if the walk reached 1 and ``y``
+if not, give the component's word.  :func:`classify_component` still
+names the rule's four outcomes (closing color, one segment or several)
+as :class:`CaseTag` values, but neither map uses it.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def _component_arcs(component: str) -> list[tuple[int, int]]:
     arcs = [(1, len(component) + 1)]
     start = 0  # the segment sits on start+1..end
     for i, segment in enumerate(split_axis_l3(component[1:-1])):
-        inner = _word_arcs(segment)
-        arcs += [(a + start, b + start) for a, b in inner] if start else inner
+        if segment:
+            inner = _word_arcs(segment)
+            arcs += [(a + start, b + start) for a, b in inner] if start else inner
         end = start + len(segment) + 1
         if i or component[-1] == "x":  # closing color 2 leaves the first one untied
             arcs.append((start + 1, end + 1))
@@ -173,4 +175,10 @@ def _component_word(component: LinkedPartition) -> str:
 
 
 def _segment_word(component: LinkedPartition, lo: int, hi: int) -> str:
+    # the smallest segments are read without building a restriction: one
+    # vertex is the empty word, and two read as a two-vertex component does
+    if lo == hi:
+        return ""
+    if hi == lo + 1:
+        return "a" if (lo, hi) in component.arcs else "b"
     return _partition_word(restrict_partition(component, lo, hi))

@@ -17,6 +17,9 @@ can check that at the axis returns alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain
+
 from .structures import (
     _DELTA,
     Arc,
@@ -87,9 +90,13 @@ def split_axis_l3(text: str) -> tuple[str, ...]:
 
 
 def restrict_partition(p: LinkedPartition, lo: int, hi: int) -> LinkedPartition:
-    """Arcs lying inside [lo, hi], relabeled to 1..hi-lo+1; needs lo <= hi."""
-    inside = [arc for arc in p.arcs if lo <= arc[0] and arc[1] <= hi]
-    return _relabeled(inside, lo, hi)
+    """Arcs lying inside [lo, hi], relabeled to 1..hi-lo+1; needs lo <= hi.
+    Bisects the sorted arcs to those starting in [lo, hi): O(log A) plus
+    their number for A arcs, on a partition that this module built."""
+    arcs = _sorted_arcs(p)
+    first = bisect_left(arcs, (lo,))
+    last = bisect_left(arcs, (hi,), first)
+    return _relabeled([arc for arc in arcs[first:last] if arc[1] <= hi], lo, hi)
 
 
 def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
@@ -100,39 +107,52 @@ def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
     interval between the i-th and (i+1)-th split point, relabeled to
     start at 1, so consecutive components share one vertex.  Every arc
     fits inside one such interval, so the components carry all arcs.
-    Runs in O(n + A log A) for n vertices and A arcs.
+    Runs in O(n + A) for n vertices and A arcs on a partition that this
+    module built, and in O(n + A log A) on any other.
     """
     # an arc starting at a covers no vertex up to a, so in left-end order
     # a closes the component before it exactly when no arc seen so far
     # reaches past a; every vertex from that reach up to a is a split
-    # point too, and each gap between two of them is an arcless component
-    arcs = sorted(p.arcs)
+    # point too, and each gap between two of them is an arcless component;
+    # a last pseudo-arc (n, n) closes the open component and the gaps to n
+    arcs = _sorted_arcs(p)
     components = []
     start = reach = 1  # reach == start: no component is open
     first = 0  # the open component's first arc
-    for i, (a, b) in enumerate(arcs):
+    for i, (a, b) in enumerate(chain(arcs, [(p.n, p.n)])):
         if a >= reach:
-            if reach > start:
+            if reach == start + 1:  # a lone arc (start, start+1)
+                components.append(_STEP)
+            elif reach > start:
                 components.append(_relabeled(arcs[first:i], start, reach))
             components += [_GAP] * (a - reach)
             start, first = a, i
         if b > reach:
             reach = b
-    if reach > start:
-        components.append(_relabeled(arcs[first:], start, reach))
-    components += [_GAP] * (p.n - reach)
     return tuple(components)
 
 
-_GAP = _unchecked(LinkedPartition, n=2, arcs=frozenset())  # the component {1}{2}
+def _sorted_arcs(p: LinkedPartition) -> list[Arc]:
+    """The arcs of ``p`` by (left, right): kept as ``_sorted`` on each
+    partition that this module builds, sorted afresh for any other."""
+    arcs = p.__dict__.get("_sorted")
+    return sorted(p.arcs) if arcs is None else arcs
 
 
 def _relabeled(arcs: list[Arc], lo: int, hi: int) -> LinkedPartition:
-    """The partition on 1..hi-lo+1 of arcs that lie inside [lo, hi]."""
+    """The partition on 1..hi-lo+1 of arcs that lie inside [lo, hi],
+    given sorted, which it keeps as ``_sorted``."""
     if lo > 1:
         shift = lo - 1
         arcs = [_new_arc((a - shift, b - shift)) for a, b in arcs]
-    return _unchecked(LinkedPartition, n=hi - lo + 1, arcs=frozenset(arcs))
+    return _unchecked(
+        LinkedPartition, n=hi - lo + 1, arcs=frozenset(arcs), _sorted=arcs
+    )
+
+
+# the two-vertex components {1}{2} and {1,2}, shared
+_GAP = _unchecked(LinkedPartition, n=2, arcs=frozenset(), _sorted=[])
+_STEP = _relabeled([Arc(1, 2)], 1, 2)
 
 
 def arc_reachable(p: LinkedPartition, a: int, b: int) -> bool:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import motzkin_ncl.bijection
+import motzkin_ncl.decompose
 from motzkin_ncl import (
     Arc,
     CaseTag,
@@ -489,6 +490,35 @@ class TestInverseWork:
         monkeypatch.setattr(motzkin_ncl.bijection, "classify_component", refuse)
         assert partition_to_path(q).text == word
         assert partition_to_path(partition).text == word
+
+    # a chain of k segments inside one nest: of two vertices each, read
+    # directly, and of three, each restricted out of the component
+    @pytest.mark.parametrize("link,per_link", [("ac", 8), ("Uxc", 16)])
+    def test_chain_inside_one_component_is_linear(self, link, per_link, monkeypatch):
+        # counts the arcs decompose relabels plus the arcs read back out of
+        # the arc sets it builds; rescanning the component for each segment
+        # makes this quadratic in k
+        k = 2000
+        word = "U" + link * k + "x"
+        q = path_to_partition(word)
+        work = [0]
+
+        class CountedArcs(frozenset):
+            def __iter__(self):
+                work[0] += len(self)
+                return super().__iter__()
+
+        relabeled = motzkin_ncl.decompose._relabeled
+
+        def counting(arcs, lo, hi):
+            work[0] += len(arcs)
+            built = relabeled(arcs, lo, hi)
+            built.__dict__["arcs"] = CountedArcs(built.arcs)
+            return built
+
+        monkeypatch.setattr(motzkin_ncl.decompose, "_relabeled", counting)
+        assert partition_to_path(q).text == word
+        assert work[0] <= per_link * k
 
 
 class TestExhaustive:

@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin_ncl import Arc, LinkedPartition, gen_ncl, parse_partition, validate_large
 from motzkin_ncl.decompose import (
@@ -80,6 +81,60 @@ class TestRestrict:
         p = parse_partition("{1,2}")
         q = restrict_partition(p, 2, 2)
         assert q.n == 1 and q.arcs == frozenset()
+
+
+def _filter_then_shift(p, lo, hi):
+    """restrict_partition by its definition: the arcs inside [lo, hi],
+    shifted down to start at 1."""
+    inside = [(a - lo + 1, b - lo + 1) for a, b in p.arcs if lo <= a and b <= hi]
+    return LinkedPartition(hi - lo + 1, inside)
+
+
+def _cut_at_uncovered(p):
+    """outer_decompose by its definition: the windows between the
+    vertices lying strictly inside no arc."""
+    points = [v for v in range(1, p.n + 1) if not any(a < v < b for a, b in p.arcs)]
+    return tuple(_filter_then_shift(p, lo, hi) for lo, hi in zip(points, points[1:]))
+
+
+def _check_sorted_slices(p, depth=2):
+    """Both helpers against their definitions on p, for every window,
+    then again on every partition they returned, which hands them its
+    kept sorted arcs instead of a fresh sort."""
+    built = list(outer_decompose(p))
+    assert tuple(built) == _cut_at_uncovered(p)
+    for lo in range(1, p.n + 1):
+        for hi in range(lo, p.n + 1):
+            built.append(restrict_partition(p, lo, hi))
+            assert built[-1] == _filter_then_shift(p, lo, hi)
+    for q in built:
+        assert q.__dict__["_sorted"] == sorted(q.arcs)
+        if depth > 1:
+            _check_sorted_slices(q, depth - 1)
+
+
+@st.composite
+def arc_sets(draw):
+    """Any in-range arc set on 2..10 vertices: crossing arcs and shared
+    left ends included, built through the public constructor."""
+    n = draw(st.integers(2, 10))
+    arcs = st.integers(1, n - 1).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a + 1, n))
+    )
+    return LinkedPartition(n, draw(st.sets(arcs, max_size=12)))
+
+
+class TestSortedSlices:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_partition_against_filter_then_shift(self, n):
+        for p in gen_ncl(n):
+            _check_sorted_slices(p)
+            assert "_sorted" not in p.__dict__  # the caller's object is left alone
+
+    @given(arc_sets())
+    def test_any_arc_set_against_filter_then_shift(self, p):
+        _check_sorted_slices(p)
+        assert "_sorted" not in p.__dict__
 
 
 class TestOuterDecompose:
