@@ -2,11 +2,13 @@
 noncrossing linked partitions of {1..n+1}.
 
 Both directions work on text words and validate their input once: the
-forward map then recurses on slices of the word and builds its one
-partition from the arcs at the end, and the inverse assembles the word
-from the components of its partition.  Every partition built on the way
-is in range by construction, so it skips the public constructor's
-normalisation.  Input nested past the recursion limit raises ValueError.
+forward map then tabulates where each component ends in one pass,
+recurses on index ranges of the one word, jumping from piece to piece,
+and builds its one partition from the arcs at the end, so it runs in
+linear time; the inverse assembles the word from the components of its
+partition.  Every partition built on the way is in range by
+construction, so it skips the public constructor's normalisation.
+Input nested past the recursion limit raises ValueError.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,
@@ -37,6 +39,7 @@ from enum import Enum
 
 from .decompose import (
     arc_reachable,
+    component_ends,
     factor_components,
     outer_decompose,
     restrict_partition,
@@ -76,44 +79,43 @@ class CaseTag(Enum):
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
     word = validate_large(path).text
+    pairs: list[tuple[int, int]] = []
     try:
-        pairs = _word_arcs(word)
+        _word_arcs(word, component_ends(word), 0, len(word), 0, pairs)
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
     arcs = frozenset(map(Arc._make, pairs))
     return _unchecked(LinkedPartition, n=len(word) + 1, arcs=arcs)
 
 
-def _word_arcs(word: str) -> list[tuple[int, int]]:
-    """The arcs of a word's image on 1..len(word)+1, as plain pairs."""
-    components = factor_components(word)
-    arcs: list[tuple[int, int]] = []
-    start = 0  # the component sits on start+1..start+len+1
-    # a comprehension, not a loop: its frame keeps φ at three frames per
-    # nesting level before Python 3.12, where README's depth table has it
-    for component, inner in zip(components, [_component_arcs(c) for c in components]):
-        arcs += [(a + start, b + start) for a, b in inner] if start else inner
-        start += len(component)
-    return arcs
+def _word_arcs(
+    word: str, ends: list[int], lo: int, hi: int, h: int, arcs: list[tuple[int, int]]
+) -> None:
+    """Append the arcs of the image of word[lo:hi], a large word at height
+    h, where the step at index t starts at vertex t + 1 - h."""
+    # a comprehension run for its calls, not a loop: its frame keeps φ at
+    # three frames per nesting level before Python 3.12, where README's
+    # depth table has it
+    pieces = factor_components(ends, lo, hi)
+    [_component_arcs(word, ends, a, b, h, arcs) for a, b in pieces]
 
 
-def _component_arcs(component: str) -> list[tuple[int, int]]:
-    """The arcs of a component's image on 1..p+1, for length p."""
-    if component == "a":
-        return [(1, 2)]
-    if component == "b":
-        return []
-    arcs = [(1, len(component) + 1)]
-    start = 0  # the segment sits on start+1..end
-    for i, segment in enumerate(split_axis_l3(component[1:-1])):
-        if segment:
-            inner = _word_arcs(segment)
-            arcs += [(a + start, b + start) for a, b in inner] if start else inner
-        end = start + len(segment) + 1
-        if i or component[-1] == "x":  # closing color 2 leaves the first one untied
-            arcs.append((start + 1, end + 1))
-        start = end
-    return arcs
+def _component_arcs(
+    word: str, ends: list[int], lo: int, hi: int, h: int, arcs: list[tuple[int, int]]
+) -> None:
+    """Append the arcs of the image of the component word[lo:hi] at height h."""
+    first, step = lo + 1 - h, word[lo]
+    if step == "a":
+        arcs.append((first, first + 1))
+    elif step == "U":
+        arcs.append((first, hi + 1 - h))
+        tie = word[hi - 1] == "x"  # closing color 2 leaves the first segment untied
+        for a, b in split_axis_l3(word, ends, lo + 1, hi - 1):
+            if a < b:
+                _word_arcs(word, ends, a, b, h + 1, arcs)
+            if tie:
+                arcs.append((a - h, b + 1 - h))
+            tie = True
 
 
 def classify_component(component: LinkedPartition) -> CaseTag:

@@ -9,10 +9,15 @@ axis-level color-3 steps into large segments.  On the partition side,
 the mirror notion is the outer decomposition at vertices that sit
 strictly inside no arc.
 
+On the path side one stack pass, :func:`component_ends`, tabulates
+where the component starting at each step ends; the cuts then take an
+index range of the one word and jump through that table, so a cut costs
+O(pieces), not O(length).
+
 The helpers expect valid input; the public maps in
 :mod:`motzkin_ncl.bijection` validate before they call them.  Only
-:func:`factor_components` still rejects a word that is not large, as it
-can check that at the axis returns alone.
+:func:`component_ends` still rejects a word that is not large, as its
+stack pass checks that at no extra cost.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from bisect import bisect_left
 from itertools import chain
 
 from .structures import (
-    _DELTA,
     Arc,
     AxisL3,
     LinkedPartition,
@@ -32,57 +36,76 @@ from .structures import (
 )
 
 
-def factor_components(text: str) -> tuple[str, ...]:
-    """Cut a large word at its returns to the axis.
+def component_ends(text: str) -> list[int]:
+    """For each step of a large word, the index just past the component
+    that starts there: one past the matching down step for ``U``, and the
+    next index for any other step.
 
-    Only the axis returns are checked, so a word that is not large still
-    raises a :class:`~motzkin_ncl.structures.PathError` at no cost per step.
+    One stack pass, which also rejects a word that is not large with the
+    :class:`~motzkin_ncl.structures.PathError` that names its first fault.
 
-    >>> factor_components("abUxUcUyx")
-    ('a', 'b', 'Ux', 'UcUyx')
-    >>> factor_components("c")
+    >>> component_ends("aUcUyx")
+    [1, 6, 3, 5, 5, 6]
+    >>> component_ends("c")
     Traceback (most recent call last):
     ...
     motzkin_ncl.structures.AxisL3: level color 3 on the axis at step 0
     """
-    out = []
-    start = 0
-    h = 0
+    ends = list(range(1, len(text) + 1))
+    opened = []  # the up steps not yet closed
     for i, ch in enumerate(text):
-        h += _DELTA[ch]
-        if h == 0:
-            if i == start:
-                if ch == "c":
-                    raise AxisL3(i)
-            elif text[start] != "U":
-                # the piece left the axis downwards
-                raise NegativeHeight(start)
-            out.append(text[start : i + 1])
-            start = i + 1
-    if start != len(text):
-        raise NonzeroFinalHeight(h)
-    return tuple(out)
+        if ch == "U":
+            opened.append(i)
+        elif ch == "x" or ch == "y":
+            if not opened:
+                raise NegativeHeight(i)
+            ends[opened.pop()] = i + 1
+        elif ch == "c" and not opened:
+            raise AxisL3(i)
+    if opened:
+        raise NonzeroFinalHeight(len(opened))
+    return ends
 
 
-def split_axis_l3(text: str) -> tuple[str, ...]:
-    """Split a valid Motzkin word at every axis-level color-3 step.
+def factor_components(ends: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Cut the large word on [lo, hi) at its returns to its baseline.
 
-    A word with no such step yields itself as the single segment; a word
-    with k-1 of them yields k segments, each large by construction.
+    Returns the index ranges of its components, jumping through the
+    :func:`component_ends` table from each one's start to its end.
 
-    >>> split_axis_l3("bUxcUyc")
-    ('bUx', 'Uy', '')
+    >>> factor_components(component_ends("abUxUcUyx"), 0, 9)
+    [(0, 1), (1, 2), (2, 4), (4, 9)]
     """
     pieces = []
-    start = 0
-    h = 0
-    for i, ch in enumerate(text):
-        if ch == "c" and h == 0:
-            pieces.append(text[start:i])
-            start = i + 1
-        h += _DELTA[ch]
-    pieces.append(text[start:])
-    return tuple(pieces)
+    while lo < hi:
+        end = ends[lo]
+        pieces.append((lo, end))
+        lo = end
+    return pieces
+
+
+def split_axis_l3(
+    text: str, ends: list[int], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """Split the Motzkin word on [lo, hi) at its baseline color-3 steps.
+
+    Returns the index ranges of its segments, each large by construction:
+    one range for no such step, and k for k-1 of them.  It reads the
+    first letter of each piece and jumps through ``ends`` to the next.
+
+    >>> word = "UbUxcUycx"  # the interior of one component
+    >>> split_axis_l3(word, component_ends(word), 1, 8)
+    [(1, 4), (5, 7), (8, 8)]
+    """
+    pieces = []
+    start = lo
+    while lo < hi:
+        if text[lo] == "c":
+            pieces.append((start, lo))
+            start = lo + 1
+        lo = ends[lo]
+    pieces.append((start, hi))
+    return pieces
 
 
 # ---------------------------------------------------------------------------

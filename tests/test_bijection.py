@@ -27,13 +27,14 @@ from motzkin_ncl import (
     render_partition,
     validate_large,
 )
-from motzkin_ncl.decompose import (
-    factor_components,
-    outer_decompose,
-    restrict_partition,
-    split_axis_l3,
+from motzkin_ncl.decompose import outer_decompose, restrict_partition
+from motzkin_ncl.structures import (
+    AxisL3,
+    LargeMotzkinPath,
+    NegativeHeight,
+    NonzeroFinalHeight,
+    _unchecked,
 )
-from motzkin_ncl.structures import _unchecked
 
 # every base case and one representative of each elevated case
 KNOWN_PAIRS = [
@@ -283,7 +284,43 @@ class TestClassify:
 
 
 # The recursive forward map as first written, case by case, kept verbatim
-# as a pointwise oracle for shapes past the pinned digests.
+# as a pointwise oracle for shapes past the pinned digests, with the text
+# cuts it was written on: each rescans its word at every nesting level.
+
+
+def factor_components(text: str) -> tuple[str, ...]:
+    """Cut a large word at its returns to the axis."""
+    out = []
+    start = 0
+    h = 0
+    for i, ch in enumerate(text):
+        h += _DELTA[ch]
+        if h == 0:
+            if i == start:
+                if ch == "c":
+                    raise AxisL3(i)
+            elif text[start] != "U":
+                # the piece left the axis downwards
+                raise NegativeHeight(start)
+            out.append(text[start : i + 1])
+            start = i + 1
+    if start != len(text):
+        raise NonzeroFinalHeight(h)
+    return tuple(out)
+
+
+def split_axis_l3(text: str) -> tuple[str, ...]:
+    """Split a valid Motzkin word at every axis-level color-3 step."""
+    pieces = []
+    start = 0
+    h = 0
+    for i, ch in enumerate(text):
+        if ch == "c" and h == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+        h += _DELTA[ch]
+    pieces.append(text[start:])
+    return tuple(pieces)
 
 
 def concat_merge(parts: Sequence[LinkedPartition]) -> LinkedPartition:
@@ -395,6 +432,57 @@ class TestOracle:
     def test_seeded_random_paths(self):
         for word in _random_words():
             assert path_to_partition(word) == _word_partition(word), word
+
+    def test_nests_up_to_300_levels(self):
+        # k = 300 stays under the first failing k of φ and of this oracle,
+        # inside pytest, on every Python version
+        for k in range(125, 301, 5):
+            for word in ("U" * k + "x" * k, "U" * k + "b" * k + "y" * k):
+                assert path_to_partition(word) == _word_partition(word), word
+
+
+def _counted(base, work):
+    """A subclass of ``base`` that adds the items read out of it to work[0]."""
+
+    class Counted(base):
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            work[0] += len(got) if isinstance(key, slice) else 1
+            return got
+
+        def __iter__(self):
+            work[0] += len(self)
+            return super().__iter__()
+
+    return Counted
+
+
+class TestForwardWork:
+    # φ reads each letter and each entry of its table O(1) times: the table
+    # pass reads every letter once and each cut reads one letter and one
+    # entry per piece, where a cut that rescans its range reads a letter
+    # once per level above it
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "U" * 300 + "x" * 300,
+            "U" * 300 + "b" * 300 + "y" * 300,
+            "U" + "Ucy" * 300 + "x",
+        ],
+        ids=["nest", "b-nest", "chain"],
+    )
+    def test_reads_each_letter_a_bounded_number_of_times(self, word, monkeypatch):
+        image = path_to_partition(word)
+        work = [0]
+        ends = motzkin_ncl.bijection.component_ends
+        monkeypatch.setattr(
+            motzkin_ncl.bijection,
+            "component_ends",
+            lambda text: _counted(list, work)(ends(text)),
+        )
+        text = _counted(str, work)(word)
+        assert path_to_partition(_unchecked(LargeMotzkinPath, text=text)) == image
+        assert work[0] <= 5 * len(word)
 
 
 # The inverse map as it read components before the one rule: classify into

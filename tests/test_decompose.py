@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from motzkin_ncl import Arc, LinkedPartition, gen_ncl, parse_partition, validate_large
 from motzkin_ncl.decompose import (
     arc_reachable,
+    component_ends,
     factor_components,
     outer_decompose,
     restrict_partition,
@@ -15,30 +16,44 @@ from motzkin_ncl.decompose import (
 )
 
 
+def components(text):
+    """factor_components on a whole large word, as slices of it."""
+    ranges = factor_components(component_ends(text), 0, len(text))
+    return tuple(text[a:b] for a, b in ranges)
+
+
+def segments(text):
+    """split_axis_l3 on a whole Motzkin word, as slices of it: the word
+    is read as the interior of ``U text x``, as the forward map reads it."""
+    word = "U" + text + "x"
+    ranges = split_axis_l3(word, component_ends(word), 1, len(word) - 1)
+    return tuple(word[a:b] for a, b in ranges)
+
+
 class TestFactorComponents:
     def test_axis_levels_and_one_elevated(self):
-        assert factor_components("abUx") == ("a", "b", "Ux")
+        assert components("abUx") == ("a", "b", "Ux")
 
     def test_worked_example_splits_in_two(self):
-        assert factor_components("UbxUbUxcUycy") == ("Ubx", "UbUxcUycy")
+        assert components("UbxUbUxcUycy") == ("Ubx", "UbUxcUycy")
 
     def test_empty_path_has_no_components(self):
-        assert factor_components("") == ()
+        assert components("") == ()
 
     def test_inner_may_touch_its_own_baseline(self):
         # the l3 steps sit at height 1, the component's own baseline
-        assert factor_components("UcUxcy") == ("UcUxcy",)
+        assert components("UcUxcy") == ("UcUxcy",)
 
     def test_concat_inverts_factor(self):
         for text in ("", "a", "UxbUcy", "UbxUbUxcUycy"):
-            assert "".join(factor_components(text)) == text
+            assert "".join(components(text)) == text
 
     def test_rejects_non_large_words(self):
         with pytest.raises(ValueError):
-            factor_components("c")
+            component_ends("c")
         for text in ("x", "xU", "aUUx", "Uxx"):
             with pytest.raises(ValueError):
-                factor_components(text)
+                component_ends(text)
 
 
 class TestElevate:
@@ -47,24 +62,24 @@ class TestElevate:
         for inner in ("", "c", "bUxcUyc"):
             for down in "xy":
                 word = "U" + inner + down
-                assert factor_components(word) == (word,)
+                assert components(word) == (word,)
 
 
 class TestAxisSplit:
     def test_splits_at_every_baseline_l3(self):
-        assert split_axis_l3("bUxcUyc") == ("bUx", "Uy", "")
+        assert segments("bUxcUyc") == ("bUx", "Uy", "")
 
     def test_no_l3_gives_one_segment(self):
-        assert split_axis_l3("") == ("",)
+        assert segments("") == ("",)
 
     def test_lone_l3_gives_two_empty_segments(self):
-        assert split_axis_l3("c") == ("", "")
+        assert segments("c") == ("", "")
 
     def test_elevated_l3_does_not_split(self):
-        assert split_axis_l3("Ucx") == ("Ucx",)
+        assert segments("Ucx") == ("Ucx",)
 
     def test_segments_are_large(self):
-        for segment in split_axis_l3("UcxcaUcy"):
+        for segment in segments("UcxcaUcy"):
             validate_large(segment)
 
 

@@ -17,7 +17,7 @@ from motzkin_ncl import (
     validate_ncl,
     validate_ncl_blockwise,
 )
-from motzkin_ncl.decompose import factor_components, split_axis_l3
+from motzkin_ncl.decompose import component_ends, factor_components, split_axis_l3
 
 DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 
@@ -90,20 +90,34 @@ class TestArcCount:
         assert len(arcs) == sum(map(word.count, "Uacx"))
 
 
+def components(text):
+    """factor_components on a whole large word, as slices of it."""
+    ranges = factor_components(component_ends(text), 0, len(text))
+    return tuple(text[a:b] for a, b in ranges)
+
+
+def segments(text):
+    """split_axis_l3 on a whole Motzkin word, as slices of it: the word
+    is read as the interior of ``U text x``, as the forward map reads it."""
+    word = "U" + text + "x"
+    ranges = split_axis_l3(word, component_ends(word), 1, len(word) - 1)
+    return tuple(word[a:b] for a, b in ranges)
+
+
 class TestDecomposeProperties:
     @given(motzkin_words())
     def test_components_concatenate_to_word(self, word):
-        components = factor_components(word)
-        assert "".join(components) == word
+        pieces = components(word)
+        assert "".join(pieces) == word
         # each component is one axis level step or one elevated stretch
-        for c in components:
+        for c in pieces:
             assert c in ("a", "b") or (c[0] == "U" and c[-1] in "xy")
 
     @given(motzkin_words(large=False))
     def test_segments_join_at_axis_l3(self, word):
-        segments = split_axis_l3(word)
-        assert "c".join(segments) == word
-        for segment in segments:
+        pieces = segments(word)
+        assert "c".join(pieces) == word
+        for segment in pieces:
             validate_large(segment)
 
 
