@@ -5,10 +5,12 @@ Both directions work on text words and validate their input once: the
 forward map then tabulates where each component ends in one pass,
 recurses on index ranges of the one word, jumping from piece to piece,
 and builds its one partition from the arcs at the end, so it runs in
-linear time; the inverse assembles the word from the components of its
-partition.  Every partition built on the way is in range by
-construction, so it skips the public constructor's normalisation.
-Input nested past the recursion limit raises ValueError.
+linear time.  The inverse sorts the arcs once and recurses on vertex
+ranges of that one list, in the partition's own vertex numbers, cutting
+out each piece's sorted arcs as it goes; it builds no partition.  Each
+map builds only its result, in range by construction, so it skips the
+public constructor's checks.  Input nested past the recursion limit
+raises ValueError.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,
@@ -23,14 +25,14 @@ untied; and vertex 1 hooks p+1.
 The inverse reads the same rule backwards.  A valid partition is cut at
 its uncovered vertices into components.  A two-vertex component is
 ``a`` if it has its arc and ``b`` if not.  Any other component, on
-1..q+1, walks back from q along incoming arcs until it reaches 1 or a
-vertex with none: the stops, with 1 in front, cut 1..q into segments,
-each read back as a partition word (one vertex is the empty word, and
-two read as a two-vertex component does); the segments joined by
-``c``, inside ``U`` and a closing ``x`` if the walk reached 1 and ``y``
-if not, give the component's word.  :func:`classify_component` still
-names the rule's four outcomes (closing color, one segment or several)
-as :class:`CaseTag` values, but neither map uses it.
+lo..hi, walks back from hi-1 along incoming arcs until it reaches lo or
+a vertex with none: the stops, with lo in front, cut lo..hi-1 into
+segments, each read back as a partition word (one vertex is the empty
+word); the segments joined by ``c``, inside ``U`` and a closing ``x`` if
+the walk reached lo and ``y`` if not, give the component's word.
+:func:`classify_component` still names the rule's four outcomes
+(closing color, one segment or several) as :class:`CaseTag` values, but
+neither map uses it.
 """
 
 from __future__ import annotations
@@ -143,44 +145,43 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
         p = parse_partition(p)
     validate_ncl(p)
     try:
-        return _unchecked(LargeMotzkinPath, text=_partition_word(p))
+        word = _partition_word(sorted(p.arcs), 1, p.n)
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
+    return _unchecked(LargeMotzkinPath, text=word)
 
 
-def _partition_word(p: LinkedPartition) -> str:
-    return "".join(_component_word(c) for c in outer_decompose(p))
+def _partition_word(arcs: list[Arc], lo: int, hi: int) -> str:
+    """The word of the partition on [lo, hi] with the sorted arcs ``arcs``."""
+    pieces = outer_decompose(arcs, lo, hi)
+    return "".join(_component_word(a, b, inside) for a, b, inside in pieces)
 
 
-def _component_word(component: LinkedPartition) -> str:
-    q = component.n - 1
-    if q == 1:
-        return "a" if component.arcs else "b"
-    # walk back from q along incoming arcs; the stops, with 1 in front,
-    # cut 1..q into the segments, and the closing color is 1 (x) exactly
-    # when the walk reaches 1
-    incoming = {b: a for a, b in component.arcs}
-    stops = [q]
+def _component_word(lo: int, hi: int, arcs: list[Arc]) -> str:
+    if hi == lo + 1:
+        return "a" if arcs else "b"
+    # walk back from hi-1 along incoming arcs; the stops, with lo in front,
+    # cut lo..hi-1 into the segments, and the closing color is 1 (x) exactly
+    # when the walk reaches lo
+    incoming = {b: a for a, b in arcs}
+    stops = [hi - 1]
     while stops[-1] in incoming:
         stops.append(incoming[stops[-1]])
-    closing = "x" if stops[-1] == 1 else "y"
+    closing = "x" if stops[-1] == lo else "y"
     if closing == "y":
-        stops.append(1)
+        stops.append(lo)
     stops.reverse()
     # a plain loop into _segment_word, not a comprehension, which Python
     # 3.12 inlines: φ⁻¹ keeps five frames per nesting level before 3.12
     # and four from it, where README's depth table has it
     words = []
-    for lo, end in zip(stops, stops[1:]):
-        words.append(_segment_word(component, lo, end - 1))
+    for first, end in zip(stops, stops[1:]):
+        words.append(_segment_word(arcs, first, end - 1))
     return "U" + "c".join(words) + closing
 
 
-def _segment_word(component: LinkedPartition, lo: int, hi: int) -> str:
-    # the smallest segments are read without building a restriction: one
-    # vertex is the empty word, and two read as a two-vertex component does
+def _segment_word(arcs: list[Arc], lo: int, hi: int) -> str:
+    # one vertex is the empty word, read without a restriction
     if lo == hi:
         return ""
-    if hi == lo + 1:
-        return "a" if (lo, hi) in component.arcs else "b"
-    return _partition_word(restrict_partition(component, lo, hi))
+    return _partition_word(restrict_partition(arcs, lo, hi), lo, hi)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import motzkin_ncl.bijection
-import motzkin_ncl.decompose
+import motzkin_ncl.structures
 from motzkin_ncl import (
     Arc,
     CaseTag,
@@ -27,7 +28,6 @@ from motzkin_ncl import (
     render_partition,
     validate_large,
 )
-from motzkin_ncl.decompose import outer_decompose, restrict_partition
 from motzkin_ncl.structures import (
     AxisL3,
     LargeMotzkinPath,
@@ -70,10 +70,18 @@ class TestForward:
         assert render_partition(p) == "{1,2,3}"
 
     def test_rejects_invalid_words(self):
-        with pytest.raises(ValueError):
-            path_to_partition("c")
-        with pytest.raises(ValueError):
-            path_to_partition("U")
+        # validate_large is φ's one check, and names each word's first fault
+        for word, error in [
+            ("c", AxisL3),
+            ("U", NonzeroFinalHeight),
+            ("x", NegativeHeight),
+            ("xU", NegativeHeight),
+            ("aUUx", NonzeroFinalHeight),
+            ("Uxx", NegativeHeight),
+        ]:
+            with pytest.raises(error) as info:
+                path_to_partition(word)
+            assert type(info.value) is error, word
 
     def test_length_maps_to_vertex_count(self):
         for n in range(6):
@@ -162,6 +170,34 @@ class TestInverse:
         q = path_to_partition(word)
         assert partition_to_path(q).text == word
         assert calls == [q.n]
+
+    @pytest.mark.parametrize(
+        "word", ["U" * 50 + "x" * 50, "Ucx" * 50], ids=["nested", "chain"]
+    )
+    def test_builds_no_partition(self, word, monkeypatch):
+        # every builder of the package, checked or not, is watched: φ⁻¹
+        # cuts its one sorted arc list and builds only the path it returns
+        q = path_to_partition(word)
+        built = []
+        unchecked = motzkin_ncl.structures._unchecked
+
+        def counting(cls, **fields):
+            built.append(cls)
+            return unchecked(cls, **fields)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("motzkin_ncl."):
+                if getattr(module, "_unchecked", None) is unchecked:
+                    monkeypatch.setattr(module, "_unchecked", counting)
+        post_init = LinkedPartition.__post_init__
+
+        def checked(self):
+            built.append(LinkedPartition)
+            post_init(self)
+
+        monkeypatch.setattr(LinkedPartition, "__post_init__", checked)
+        assert partition_to_path(q).text == word
+        assert built == [LargeMotzkinPath]
 
 
 TOO_DEEP = "input nests too deeply for the recursive maps"
@@ -379,6 +415,42 @@ def _tied_segment(segment: str) -> LinkedPartition:
     return _unchecked(LinkedPartition, n=end, arcs=base.arcs | {Arc(1, end)})
 
 
+# The partition cuts as the four-case inverse was written on: each piece
+# a partition of its own, relabelled to start at 1, so the oracle shares
+# no cut with the inverse under test.
+
+
+def restrict_partition(p: LinkedPartition, lo: int, hi: int) -> LinkedPartition:
+    """Arcs lying inside [lo, hi], relabeled to 1..hi-lo+1."""
+    inside = [arc for arc in sorted(p.arcs) if lo <= arc[0] and arc[1] <= hi]
+    return _relabeled(inside, lo, hi)
+
+
+def outer_decompose(p: LinkedPartition) -> tuple[LinkedPartition, ...]:
+    """Cut a valid partition at its uncovered vertices, each component
+    relabeled to start at 1."""
+    arcs = sorted(p.arcs)
+    components = []
+    start = reach = 1  # reach == start: no component is open
+    first = 0  # the open component's first arc
+    for i, (a, b) in enumerate(chain(arcs, [(p.n, p.n)])):
+        if a >= reach:
+            if reach > start:
+                components.append(_relabeled(arcs[first:i], start, reach))
+            components += [_relabeled([], v, v + 1) for v in range(reach, a)]
+            start, first = a, i
+        if b > reach:
+            reach = b
+    return tuple(components)
+
+
+def _relabeled(arcs, lo: int, hi: int) -> LinkedPartition:
+    """The partition on 1..hi-lo+1 of arcs that lie inside [lo, hi]."""
+    shift = lo - 1
+    shifted = frozenset(Arc(a - shift, b - shift) for a, b in arcs)
+    return _unchecked(LinkedPartition, n=hi - lo + 1, arcs=shifted)
+
+
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 
 
@@ -579,32 +651,42 @@ class TestInverseWork:
         assert partition_to_path(q).text == word
         assert partition_to_path(partition).text == word
 
-    # a chain of k segments inside one nest: of two vertices each, read
-    # directly, and of three, each restricted out of the component
+    # a chain of k segments inside one nest, of two vertices and of three
     @pytest.mark.parametrize("link,per_link", [("ac", 8), ("Uxc", 16)])
     def test_chain_inside_one_component_is_linear(self, link, per_link, monkeypatch):
-        # counts the arcs decompose relabels plus the arcs read back out of
-        # the arc sets it builds; rescanning the component for each segment
-        # makes this quadratic in k
+        # counts the arcs read out of the lists that the cuts return, by
+        # slice or by iteration (a bisection's O(log A) probes are left
+        # out); a cut that rescans the component for each segment makes
+        # this quadratic in k
         k = 2000
         word = "U" + link * k + "x"
         q = path_to_partition(word)
         work = [0]
 
-        class CountedArcs(frozenset):
+        class CountedArcs(list):
+            def __getitem__(self, key):
+                got = super().__getitem__(key)
+                if isinstance(key, slice):
+                    work[0] += len(got)
+                return got
+
             def __iter__(self):
                 work[0] += len(self)
                 return super().__iter__()
 
-        relabeled = motzkin_ncl.decompose._relabeled
+        restrict = motzkin_ncl.bijection.restrict_partition
+        decompose = motzkin_ncl.bijection.outer_decompose
 
-        def counting(arcs, lo, hi):
-            work[0] += len(arcs)
-            built = relabeled(arcs, lo, hi)
-            built.__dict__["arcs"] = CountedArcs(built.arcs)
-            return built
+        def restrict_counted(arcs, lo, hi):
+            return CountedArcs(restrict(arcs, lo, hi))
 
-        monkeypatch.setattr(motzkin_ncl.decompose, "_relabeled", counting)
+        def decompose_counted(arcs, lo, hi):
+            pieces = decompose(arcs, lo, hi)
+            return [(a, b, CountedArcs(inside)) for a, b, inside in pieces]
+
+        bijection = motzkin_ncl.bijection
+        monkeypatch.setattr(bijection, "restrict_partition", restrict_counted)
+        monkeypatch.setattr(bijection, "outer_decompose", decompose_counted)
         assert partition_to_path(q).text == word
         assert work[0] <= per_link * k
 

@@ -48,13 +48,6 @@ class TestFactorComponents:
         for text in ("", "a", "UxbUcy", "UbxUbUxcUycy"):
             assert "".join(components(text)) == text
 
-    def test_rejects_non_large_words(self):
-        with pytest.raises(ValueError):
-            component_ends("c")
-        for text in ("x", "xU", "aUUx", "Uxx"):
-            with pytest.raises(ValueError):
-                component_ends(text)
-
 
 class TestElevate:
     def test_wraps_inner_path(self):
@@ -83,49 +76,56 @@ class TestAxisSplit:
             validate_large(segment)
 
 
+def arcs_of(text):
+    """The sorted arcs of a partition given as text, and its size."""
+    p = parse_partition(text)
+    return sorted(p.arcs), p.n
+
+
 class TestRestrict:
     def test_keeps_inside_arcs_and_relabels(self):
-        p = parse_partition("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
-        q = restrict_partition(p, 5, 12)
-        assert q.n == 8
-        assert q.arcs == frozenset(
-            {Arc(1, 2), Arc(1, 3), Arc(4, 6), Arc(4, 7), Arc(7, 8)}
-        )
+        # the arcs keep the partition's own vertex numbers
+        arcs, _ = arcs_of("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
+        assert restrict_partition(arcs, 5, 12) == [
+            Arc(5, 6), Arc(5, 7), Arc(8, 10), Arc(8, 11), Arc(11, 12)
+        ]
 
     def test_single_vertex_window(self):
-        p = parse_partition("{1,2}")
-        q = restrict_partition(p, 2, 2)
-        assert q.n == 1 and q.arcs == frozenset()
+        arcs, _ = arcs_of("{1,2}")
+        assert restrict_partition(arcs, 2, 2) == []
 
 
-def _filter_then_shift(p, lo, hi):
-    """restrict_partition by its definition: the arcs inside [lo, hi],
-    shifted down to start at 1."""
-    inside = [(a - lo + 1, b - lo + 1) for a, b in p.arcs if lo <= a and b <= hi]
-    return LinkedPartition(hi - lo + 1, inside)
+def _filter_by_window(arcs, lo, hi):
+    """restrict_partition by its definition: the arcs inside [lo, hi]."""
+    return sorted(arc for arc in arcs if lo <= arc[0] and arc[1] <= hi)
 
 
-def _cut_at_uncovered(p):
+def _cut_at_uncovered(arcs, lo, hi):
     """outer_decompose by its definition: the windows between the
-    vertices lying strictly inside no arc."""
-    points = [v for v in range(1, p.n + 1) if not any(a < v < b for a, b in p.arcs)]
-    return tuple(_filter_then_shift(p, lo, hi) for lo, hi in zip(points, points[1:]))
+    vertices of [lo, hi] lying strictly inside no arc."""
+    points = [v for v in range(lo, hi + 1) if not any(a < v < b for a, b in arcs)]
+    return [
+        (a, b, _filter_by_window(arcs, a, b)) for a, b in zip(points, points[1:])
+    ]
 
 
-def _check_sorted_slices(p, depth=2):
-    """Both helpers against their definitions on p, for every window,
-    then again on every partition they returned, which hands them its
-    kept sorted arcs instead of a fresh sort."""
-    built = list(outer_decompose(p))
-    assert tuple(built) == _cut_at_uncovered(p)
+def _check_sorted_slices(p):
+    """Both cuts against their definitions on p, for every window, then
+    again on every piece they returned, which feeds its sorted sub-list
+    to the next call as φ⁻¹ does."""
+    arcs = sorted(p.arcs)
+    pieces = outer_decompose(arcs, 1, p.n)
+    assert pieces == _cut_at_uncovered(arcs, 1, p.n)
     for lo in range(1, p.n + 1):
         for hi in range(lo, p.n + 1):
-            built.append(restrict_partition(p, lo, hi))
-            assert built[-1] == _filter_then_shift(p, lo, hi)
-    for q in built:
-        assert q.__dict__["_sorted"] == sorted(q.arcs)
-        if depth > 1:
-            _check_sorted_slices(q, depth - 1)
+            inside = restrict_partition(arcs, lo, hi)
+            assert inside == _filter_by_window(arcs, lo, hi)
+            pieces.append((lo, hi, inside))
+    for lo, hi, inside in pieces:
+        assert outer_decompose(inside, lo, hi) == _cut_at_uncovered(inside, lo, hi)
+        for a in range(lo, hi + 1):
+            for b in range(a, hi + 1):
+                assert restrict_partition(inside, a, b) == _filter_by_window(arcs, a, b)
 
 
 @st.composite
@@ -143,62 +143,65 @@ class TestSortedSlices:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_partition_against_filter_then_shift(self, n):
         for p in gen_ncl(n):
+            before = dict(p.__dict__)
             _check_sorted_slices(p)
-            assert "_sorted" not in p.__dict__  # the caller's object is left alone
+            assert p.__dict__ == before  # the caller's object is left alone
 
     @given(arc_sets())
     def test_any_arc_set_against_filter_then_shift(self, p):
+        before = dict(p.__dict__)
         _check_sorted_slices(p)
-        assert "_sorted" not in p.__dict__
+        assert p.__dict__ == before
 
 
 class TestOuterDecompose:
     def test_arc_free_partition_is_one_component(self):
-        (only,) = outer_decompose(parse_partition("{1}{2}"))
-        assert only.n == 2 and not only.arcs
+        assert outer_decompose([], 1, 2) == [(1, 2, [])]
 
     def test_worked_example_outer_points(self):
         # split points 1, 4 and 13: components on 1..4 and 4..13
-        p = parse_partition("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
-        first, second = outer_decompose(p)
-        assert first.n == 4
-        assert first.arcs == frozenset({Arc(1, 3), Arc(1, 4)})
-        assert second.n == 10 and Arc(1, 10) in second.arcs
+        arcs, n = arcs_of("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
+        (a, b, first), (c, d, second) = outer_decompose(arcs, 1, n)
+        assert (a, b, c, d) == (1, 4, 4, 13)
+        assert first == [Arc(1, 3), Arc(1, 4)]
+        assert len(second) == 6 and Arc(4, 13) in second
 
     def test_axis_chain_cuts_at_every_link(self):
-        first, second = outer_decompose(parse_partition("{1,2}{2,3}"))
-        assert first.n == second.n == 2
-        assert first.arcs == second.arcs == frozenset({Arc(1, 2)})
+        arcs, n = arcs_of("{1,2}{2,3}")
+        assert outer_decompose(arcs, 1, n) == [(1, 2, [Arc(1, 2)]), (2, 3, [Arc(2, 3)])]
 
     def test_covered_chain_stays_in_one_component(self):
         # the outer arc (1,4) shields the chain 1-2-3 from being cut
-        (only,) = outer_decompose(parse_partition("{1,2,4}{2,3}"))
-        assert only.n == 4
-        assert only.arcs == frozenset({Arc(1, 2), Arc(1, 4), Arc(2, 3)})
+        arcs, n = arcs_of("{1,2,4}{2,3}")
+        assert outer_decompose(arcs, 1, n) == [
+            (1, 4, [Arc(1, 2), Arc(1, 4), Arc(2, 3)])
+        ]
 
     def test_single_vertex_has_no_components(self):
-        assert outer_decompose(parse_partition("{1}")) == ()
+        assert outer_decompose([], 1, 1) == []
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_splits_at_the_vertices_inside_no_arc(self, n):
         for p in gen_ncl(n):
+            arcs = sorted(p.arcs)
             points = [
                 v
                 for v in range(1, n + 1)
                 if not any(a < v < b for a, b in p.arcs)
             ]
-            expected = tuple(
-                restrict_partition(p, lo, hi) for lo, hi in zip(points, points[1:])
-            )
-            assert outer_decompose(p) == expected
+            expected = [
+                (lo, hi, restrict_partition(arcs, lo, hi))
+                for lo, hi in zip(points, points[1:])
+            ]
+            assert outer_decompose(arcs, 1, n) == expected
 
     def test_deep_nesting_is_linear(self):
         n = 40_000
-        p = LinkedPartition(n, [(i, n + 1 - i) for i in range(1, n // 2 + 1)])
+        arcs = [Arc(i, n + 1 - i) for i in range(1, n // 2 + 1)]
         started = time.perf_counter()
-        (only,) = outer_decompose(p)
+        (only,) = outer_decompose(arcs, 1, n)
         assert time.perf_counter() - started < 5.0
-        assert only == p
+        assert only == (1, n, arcs)
 
 
 class TestArcReachable:

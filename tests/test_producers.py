@@ -3,10 +3,13 @@
 The generators, the doubling pair and the inverse bijection build their
 path objects without walking them, because their words are valid by
 construction.  Likewise the partition producers (the parser, the forward
-bijection, the decompositions and the partition generator) hand over
-arcs that are in range by construction, without normalising them.
-Nothing downstream checks those objects again, so here every one is
-rebuilt through its public, checking constructor.
+bijection and the partition generator) hand over arcs that are in range
+by construction, without normalising them; the partition cuts that the
+inverse bijection reads build no partition, and hand over sorted
+sub-lists of a partition's own arcs.  Nothing downstream checks those
+objects again, so here every object is rebuilt through its public,
+checking constructor, and every arc a cut hands over is checked against
+its window.
 """
 
 import pytest
@@ -75,15 +78,23 @@ def test_inverse_bijection(n):
         assert_rebuilds(partition_to_path(q), LargeMotzkinPath)
 
 
+def assert_arcs_inside(arcs, lo, hi):
+    # sorted Arc objects of the partition, each inside its window
+    assert type(arcs) is list and arcs == sorted(arcs)
+    for arc in arcs:
+        assert type(arc) is Arc and lo <= arc.left < arc.right <= hi
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_partition_generator_and_decompositions(n):
     for q in gen_ncl(n):
         assert_partition_rebuilds(q)
-        for piece in outer_decompose(q):
-            assert_partition_rebuilds(piece)
+        arcs = sorted(q.arcs)
+        for lo, hi, inside in outer_decompose(arcs, 1, n):
+            assert_arcs_inside(inside, lo, hi)
         for lo in range(1, n + 1):
             for hi in range(lo, n + 1):
-                assert_partition_rebuilds(restrict_partition(q, lo, hi))
+                assert_arcs_inside(restrict_partition(arcs, lo, hi), lo, hi)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
