@@ -17,8 +17,10 @@ from motzkin_ncl.decompose import (
 
 
 def components(text):
-    """factor_components on a whole large word, as slices of it."""
-    ranges = factor_components(component_ends(text), 0, len(text))
+    """factor_components on a whole word, as slices of it.  The word is
+    validated first, as the forward map does: ``component_ends`` assumes
+    a large word and does not check it."""
+    ranges = factor_components(component_ends(validate_large(text).text), 0, len(text))
     return tuple(text[a:b] for a, b in ranges)
 
 
@@ -47,6 +49,13 @@ class TestFactorComponents:
     def test_concat_inverts_factor(self):
         for text in ("", "a", "UxbUcy", "UbxUbUxcUycy"):
             assert "".join(components(text)) == text
+
+    def test_rejects_non_large_words(self):
+        with pytest.raises(ValueError):
+            components("c")
+        for text in ("x", "xU", "aUUx", "Uxx"):
+            with pytest.raises(ValueError):
+                components(text)
 
 
 class TestElevate:
