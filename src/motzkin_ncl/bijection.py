@@ -5,12 +5,13 @@ Both directions work on text words and validate their input once: the
 forward map then tabulates where each component ends in one pass,
 recurses on index ranges of the one word, jumping from piece to piece,
 and builds its one partition from the arcs at the end, so it runs in
-linear time.  The inverse sorts the arcs once and recurses on vertex
-ranges of that one list, in the partition's own vertex numbers, cutting
-out each piece's sorted arcs as it goes; it builds no partition.  Each
-map builds only its result, in range by construction, so it skips the
-public constructor's checks.  Input nested past the recursion limit
-raises ValueError.
+linear time; input nested past the recursion limit raises ValueError.
+The inverse sorts the arcs once, as (left, -right) pairs so that each
+vertex's longest arc comes first, and reads vertex ranges of that one
+list off one work stack, in the partition's own vertex numbers: it
+neither recurses nor builds a partition, and reads any depth in
+O(n log n).  Each map builds only its result, in range by construction,
+so it skips the public constructor's checks.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,
@@ -144,44 +145,36 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         p = parse_partition(p)
     validate_ncl(p)
-    try:
-        word = _partition_word(sorted(p.arcs), 1, p.n)
-    except RecursionError:
-        raise ValueError(_TOO_DEEP) from None
-    return _unchecked(LargeMotzkinPath, text=word)
-
-
-def _partition_word(arcs: list[Arc], lo: int, hi: int) -> str:
-    """The word of the partition on [lo, hi] with the sorted arcs ``arcs``."""
-    pieces = outer_decompose(arcs, lo, hi)
-    return "".join(_component_word(a, b, inside) for a, b, inside in pieces)
-
-
-def _component_word(lo: int, hi: int, arcs: list[Arc]) -> str:
-    if hi == lo + 1:
-        return "a" if arcs else "b"
-    # walk back from hi-1 along incoming arcs; the stops, with lo in front,
-    # cut lo..hi-1 into the segments, and the closing color is 1 (x) exactly
-    # when the walk reaches lo
-    incoming = {b: a for a, b in arcs}
-    stops = [hi - 1]
-    while stops[-1] in incoming:
-        stops.append(incoming[stops[-1]])
-    closing = "x" if stops[-1] == lo else "y"
-    if closing == "y":
-        stops.append(lo)
-    stops.reverse()
-    # a plain loop into _segment_word, not a comprehension, which Python
-    # 3.12 inlines: φ⁻¹ keeps five frames per nesting level before 3.12
-    # and four from it, where README's depth table has it
-    words = []
-    for first, end in zip(stops, stops[1:]):
-        words.append(_segment_word(arcs, first, end - 1))
-    return "U" + "c".join(words) + closing
-
-
-def _segment_word(arcs: list[Arc], lo: int, hi: int) -> str:
-    # one vertex is the empty word, read without a restriction
-    if lo == hi:
-        return ""
-    return _partition_word(restrict_partition(arcs, lo, hi), lo, hi)
+    arcs = sorted([(a, -b) for a, b in p.arcs])  # each vertex's longest arc first
+    incoming = {b: a for a, b in p.arcs}
+    letters = []
+    # vertex ranges still to read and letters to write, last first
+    todo: list[str | tuple[int, int]] = [(1, p.n)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            letters.append(item)
+            continue
+        lo, hi = item
+        pieces = outer_decompose(arcs, restrict_partition(arcs, lo, hi), lo, hi)
+        for a, b in reversed(pieces):
+            if b == a + 1:
+                todo.append("a" if incoming.get(b) == a else "b")
+                continue
+            # walk back from b-1 along incoming arcs; the stops, with a at
+            # the end, cut a..b-1 into the segments, and the closing color
+            # is 1 (x) exactly when the walk reaches a
+            stops = [b - 1]
+            while stops[-1] != a and stops[-1] in incoming:
+                stops.append(incoming[stops[-1]])
+            if stops[-1] == a:
+                todo.append("x")
+            else:
+                todo.append("y")
+                stops.append(a)
+            for end, first in zip(stops, stops[1:]):
+                if first < end - 1:  # one vertex is the empty word
+                    todo.append((first, end - 1))
+                todo.append("c")
+            todo[-1] = "U"  # the first segment opens the component
+    return _unchecked(LargeMotzkinPath, text="".join(letters))

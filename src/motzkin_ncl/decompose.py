@@ -12,9 +12,12 @@ strictly inside no arc.
 On the path side one stack pass, :func:`component_ends`, tabulates
 where the component starting at each step ends; the cuts then take an
 index range of the one word and jump through that table, so a cut costs
-O(pieces), not O(length).  On the partition side the cuts take a vertex
-range [lo, hi] and the sorted arcs inside it, in the partition's own
-vertex numbers, and hand back sorted sub-lists of those arcs.
+O(pieces), not O(length).  On the partition side the cuts take a
+vertex range [lo, hi], in the partition's own vertex numbers, and the
+one list of its arcs sorted as (left, -right) pairs, so each vertex's
+longest arc comes first; they bisect that list and jump from component
+to component along those arcs, so a cut costs O(pieces log A) for A
+arcs, and they hand back an index and vertex ranges, never arcs.
 
 The helpers expect valid input; the public maps in
 :mod:`motzkin_ncl.bijection` validate before they call them.
@@ -23,9 +26,8 @@ The helpers expect valid input; the public maps in
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 
-from .structures import Arc, LinkedPartition
+from .structures import LinkedPartition
 
 
 def component_ends(text: str) -> list[int]:
@@ -91,53 +93,49 @@ def split_axis_l3(
 # partition side
 
 
-def restrict_partition(arcs: list[Arc], lo: int, hi: int) -> list[Arc]:
-    """The arcs of the sorted list ``arcs`` that lie inside [lo, hi], in
-    order.  Bisects to those starting in [lo, hi): O(log A) plus their
-    number for A arcs.
+def restrict_partition(arcs: list[tuple[int, int]], lo: int, hi: int) -> int:
+    """The index in ``arcs``, a partition's arcs sorted as (left, -right)
+    pairs, of the first arc inside [lo, hi]: one bisection.
 
-    >>> restrict_partition([(1, 3), (2, 3), (2, 5), (3, 4)], 2, 4)
-    [(2, 3), (3, 4)]
+    In that order each vertex's longest arc comes first, so the index
+    skips lo's arcs that end past hi, such as the arcs that leave a
+    segment of a component at its first vertex.
+
+    >>> arcs = [(1, -4), (1, -2), (2, -3)]  # {1,2,4}{2,3}
+    >>> restrict_partition(arcs, 1, 3)
+    1
     """
-    first = bisect_left(arcs, (lo,))
-    last = bisect_left(arcs, (hi,), first)
-    return [arc for arc in arcs[first:last] if arc[1] <= hi]
+    return bisect_left(arcs, (lo, -hi))
 
 
 def outer_decompose(
-    arcs: list[Arc], lo: int, hi: int
-) -> list[tuple[int, int, list[Arc]]]:
-    """Cut a valid partition on [lo, hi], given as its sorted arcs, at its
-    uncovered vertices.
+    arcs: list[tuple[int, int]], i: int, lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """Cut a valid partition on [lo, hi] at its uncovered vertices.
 
-    The split points are the vertices lying strictly inside no arc (lo
-    and hi always qualify).  Each component is the closed interval
-    between two consecutive split points, returned as its first vertex,
-    its last vertex and the sorted arcs inside it, so consecutive
-    components share one vertex.  Every arc fits inside one such
-    interval, so the components carry all arcs.  One pass: O(n + A) for
-    n vertices and A arcs.
+    ``arcs`` holds the partition's arcs sorted as (left, -right) pairs,
+    and ``i`` is :func:`restrict_partition`'s index for [lo, hi].  The
+    split points are the vertices lying strictly inside no arc within
+    [lo, hi] (lo and hi always qualify).  Each component is the closed
+    interval between two consecutive split points, returned as its first
+    and last vertex, so consecutive components share one vertex.  On
+    valid input a component ends where the longest arc from its first
+    vertex ends, or one vertex on if that vertex has no arc inside
+    [lo, hi], so the cut jumps from component to component with one
+    bisection each: O(c log A) for c components and A arcs.
 
-    >>> outer_decompose([(1, 3), (2, 3), (3, 4)], 1, 5)
-    [(1, 3, [(1, 3), (2, 3)]), (3, 4, [(3, 4)]), (4, 5, [])]
+    >>> arcs = [(1, -4), (1, -2), (2, -3)]  # {1,2,4}{2,3}
+    >>> outer_decompose(arcs, restrict_partition(arcs, 1, 3), 1, 3)
+    [(1, 2), (2, 3)]
+    >>> outer_decompose(arcs, restrict_partition(arcs, 1, 4), 1, 4)
+    [(1, 4)]
     """
-    # an arc starting at a covers no vertex up to a, so in left-end order
-    # a closes the component before it exactly when no arc seen so far
-    # reaches past a; every vertex from that reach up to a is a split
-    # point too, and each gap between two of them is an arcless component;
-    # a last pseudo-arc (hi, hi) closes the open component and the gaps to hi
     components = []
-    start = reach = lo  # reach == start: no component is open
-    first = 0  # the open component's first arc
-    for i, (a, b) in enumerate(chain(arcs, [(hi, hi)])):
-        if a >= reach:
-            if reach > start:
-                components.append((start, reach, arcs[first:i]))
-            for v in range(reach, a):
-                components.append((v, v + 1, []))
-            start, first = a, i
-        if b > reach:
-            reach = b
+    while lo < hi:
+        i = bisect_left(arcs, (lo, -hi), i)
+        end = -arcs[i][1] if i < len(arcs) and arcs[i][0] == lo else lo + 1
+        components.append((lo, end))
+        lo = end
     return components
 
 

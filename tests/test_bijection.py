@@ -158,7 +158,7 @@ class TestInverse:
         "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
     )
     def test_validates_once(self, word, monkeypatch):
-        # the recursion works on restrictions of an already valid partition
+        # φ⁻¹ cuts ranges of an already valid partition
         calls = []
         validate = motzkin_ncl.bijection.validate_ncl
 
@@ -205,24 +205,18 @@ DEEP_WORD = "U" * 2000 + "x" * 2000
 DEEP_BLOCK = "{" + ",".join(map(str, range(1, 4002))) + "}"  # DEEP_WORD's image
 
 
-# the first k at which each map fails on U^k x^k (phi) and on its one-block
-# image (phi inverse), at a given recursion limit, in a fresh interpreter
+# the first k at which φ fails on U^k x^k at a given recursion limit, in a
+# fresh interpreter
 FIRST_FAILING = """
 import sys
-from motzkin_ncl import LinkedPartition, partition_to_path, path_to_partition
+from motzkin_ncl import path_to_partition
 
 TOO_DEEP = "input nests too deeply for the recursive maps"
-MAPS = {
-    "phi": lambda k: path_to_partition("U" * k + "x" * k),
-    "phi_inv": lambda k: partition_to_path(
-        LinkedPartition(2 * k + 1, [(1, v) for v in range(2, 2 * k + 2)])
-    ),
-}
 
 
-def fails(run, k):
+def fails(k):
     try:
-        run(k)
+        path_to_partition("U" * k + "x" * k)
     except ValueError as exc:
         assert str(exc) == TOO_DEEP, exc
         return True
@@ -231,19 +225,18 @@ def fails(run, k):
 
 limit = int(sys.argv[1])
 sys.setrecursionlimit(limit)
-for name, run in MAPS.items():
-    lo, hi = 1, limit  # each level takes more than one frame: hi fails
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fails(run, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    print(name, lo)
+lo, hi = 1, limit  # each level takes more than one frame: hi fails
+while lo < hi:
+    mid = (lo + hi) // 2
+    if fails(mid):
+        hi = mid
+    else:
+        lo = mid + 1
+print(lo)
 """
 
 
-def _first_failing(limit: int) -> dict[str, int]:
+def _first_failing(limit: int) -> int:
     src = str(Path(motzkin_ncl.bijection.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", FIRST_FAILING, str(limit)],
@@ -252,12 +245,13 @@ def _first_failing(limit: int) -> dict[str, int]:
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    return {name: int(k) for name, k in map(str.split, proc.stdout.splitlines())}
+    return int(proc.stdout)
 
 
 class TestDepth:
-    # both maps recurse once per nesting level; past the recursion limit
-    # they raise a ValueError of their own, not the RecursionError
+    # φ recurses once per nesting level; past the recursion limit it raises
+    # a ValueError of its own, not the RecursionError.  φ⁻¹ works on an
+    # explicit stack and reads any depth
     def test_forward(self):
         with pytest.raises(ValueError) as info:
             path_to_partition(DEEP_WORD)
@@ -267,10 +261,13 @@ class TestDepth:
     @pytest.mark.parametrize("parsed", [False, True], ids=["text", "object"])
     def test_inverse(self, parsed):
         block = parse_partition(DEEP_BLOCK) if parsed else DEEP_BLOCK
-        with pytest.raises(ValueError) as info:
-            partition_to_path(block)
-        assert type(info.value) is ValueError and str(info.value) == TOO_DEEP
-        assert partition_to_path("{1,2,3,4,5}").text == "UUxx"
+        assert partition_to_path(block).text == DEEP_WORD
+
+    def test_inverse_of_a_block_of_100001_vertices(self):
+        # 50000 levels, at the default recursion limit
+        k = 50_000
+        block = LinkedPartition(2 * k + 1, [(1, v) for v in range(2, 2 * k + 2)])
+        assert partition_to_path(block).text == "U" * k + "x" * k
 
     def test_deep_word_maps_to_one_block(self):
         assert render_partition(path_to_partition("U" * 20 + "x" * 20)) == (
@@ -278,15 +275,13 @@ class TestDepth:
         )
 
     def test_frames_per_nesting_level(self):
-        # phi: _word_arcs -> its comprehension -> _component_arcs -> _word_arcs;
-        # Python 3.12 inlines comprehensions, one frame less for each map (as
-        # measured on 3.10.13, 3.11.7, 3.12.1 and 3.13.0); the README's table
-        # of the first failing k rests on these counts
+        # _word_arcs -> its comprehension -> _component_arcs -> _word_arcs;
+        # Python 3.12 inlines comprehensions, one frame less (as measured on
+        # 3.10.13, 3.11.7, 3.12.1 and 3.13.0); the README's table of the
+        # first failing k rests on this count
         low, high = _first_failing(400), _first_failing(700)
-        expected = {"phi": 3, "phi_inv": 5}
-        if sys.version_info >= (3, 12):
-            expected = {"phi": 2, "phi_inv": 4}
-        assert {name: 300 / (high[name] - low[name]) for name in low} == expected
+        expected = 2 if sys.version_info >= (3, 12) else 3
+        assert 300 / (high - low) == expected
 
 
 class TestClassify:
@@ -651,44 +646,44 @@ class TestInverseWork:
         assert partition_to_path(q).text == word
         assert partition_to_path(partition).text == word
 
-    # a chain of k segments inside one nest, of two vertices and of three
-    @pytest.mark.parametrize("link,per_link", [("ac", 8), ("Uxc", 16)])
-    def test_chain_inside_one_component_is_linear(self, link, per_link, monkeypatch):
-        # counts the arcs read out of the lists that the cuts return, by
-        # slice or by iteration (a bisection's O(log A) probes are left
-        # out); a cut that rescans the component for each segment makes
-        # this quadratic in k
-        k = 2000
-        word = "U" + link * k + "x"
-        q = path_to_partition(word)
+    # a chain of k segments inside one nest, of two vertices and of three; a
+    # nest of k levels (DEEP_WORD, whose image is one block); and a nest
+    # whose every level ends in a level step, so each level's first
+    # component holds all the arcs of the levels below it
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "U" + "ac" * 2000 + "x",
+            "U" + "Uxc" * 2000 + "x",
+            DEEP_WORD,
+            "U" * 250 + "ax" * 250,
+        ],
+        ids=["ac", "Uxc", "nest", "ax-nest"],
+    )
+    def test_reads_the_arc_list_a_bounded_number_of_times(self, word, monkeypatch):
+        # counts the reads of every arc list that reaches the cuts, bisection
+        # probes included: φ⁻¹ cuts with O(1) bisections of its one list per
+        # letter, where cuts that hand each level the arcs inside it, or
+        # scan them, read about 2k² arcs of the nest, and a cut that steps
+        # from component to component by a linear search reads every level's
+        # first component again at each level above it
+        q = parse_partition(DEEP_BLOCK) if word == DEEP_WORD else path_to_partition(word)
         work = [0]
+        counted = {}  # id -> (the list, its counting copy)
 
-        class CountedArcs(list):
-            def __getitem__(self, key):
-                got = super().__getitem__(key)
-                if isinstance(key, slice):
-                    work[0] += len(got)
-                return got
+        def reading(cut):
+            def cut_counted(arcs, *rest):
+                if id(arcs) not in counted:
+                    counted[id(arcs)] = (arcs, _counted(list, work)(arcs))
+                return cut(counted[id(arcs)][1], *rest)
 
-            def __iter__(self):
-                work[0] += len(self)
-                return super().__iter__()
-
-        restrict = motzkin_ncl.bijection.restrict_partition
-        decompose = motzkin_ncl.bijection.outer_decompose
-
-        def restrict_counted(arcs, lo, hi):
-            return CountedArcs(restrict(arcs, lo, hi))
-
-        def decompose_counted(arcs, lo, hi):
-            pieces = decompose(arcs, lo, hi)
-            return [(a, b, CountedArcs(inside)) for a, b, inside in pieces]
+            return cut_counted
 
         bijection = motzkin_ncl.bijection
-        monkeypatch.setattr(bijection, "restrict_partition", restrict_counted)
-        monkeypatch.setattr(bijection, "outer_decompose", decompose_counted)
+        for name in ("restrict_partition", "outer_decompose"):
+            monkeypatch.setattr(bijection, name, reading(getattr(bijection, name)))
         assert partition_to_path(q).text == word
-        assert work[0] <= per_link * k
+        assert work[0] <= 2 * len(q.arcs).bit_length() * len(word)
 
 
 class TestExhaustive:

@@ -318,12 +318,11 @@ class TestMap:
         assert (proc.returncode, proc.stdout) == (1, "{1,2,3}\n")
         assert proc.stderr == "line 2: input nests too deeply for the recursive maps\n"
 
-    def test_too_deep_partition_argument_fails_in_one_line(self, capsys):
+    def test_deep_partition_argument_maps(self, capsys):
+        # φ⁻¹ reads any depth: the one block on 4001 vertices is a nest of 2000
         block = "{" + ",".join(map(str, range(1, 4002))) + "}"
         code, out, err = run(capsys, "map", "--phi-inv", block)
-        assert (code, out, err) == (
-            1, "", "input nests too deeply for the recursive maps\n"
-        )
+        assert (code, out, err) == (0, "U" * 2000 + "x" * 2000 + "\n", "")
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),

@@ -3,9 +3,9 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
 
-from motzkin_ncl import Arc, LinkedPartition, gen_ncl, parse_partition, validate_large
+import motzkin_ncl.bijection
+from motzkin_ncl import gen_ncl, parse_partition, partition_to_path, validate_large
 from motzkin_ncl.decompose import (
     arc_reachable,
     component_ends,
@@ -86,131 +86,123 @@ class TestAxisSplit:
 
 
 def arcs_of(text):
-    """The sorted arcs of a partition given as text, and its size."""
+    """A partition given as text: its arcs sorted as (left, -right) pairs,
+    as φ⁻¹ sorts them, and its size."""
     p = parse_partition(text)
-    return sorted(p.arcs), p.n
+    return keyed(p), p.n
+
+
+def keyed(p):
+    return sorted((a, -b) for a, b in p.arcs)
+
+
+def cut(arcs, lo, hi):
+    """outer_decompose on [lo, hi], from restrict_partition's index."""
+    return outer_decompose(arcs, restrict_partition(arcs, lo, hi), lo, hi)
+
+
+def _inside(arcs, lo, hi):
+    """The arcs of a keyed list that lie inside [lo, hi], in order."""
+    return [(a, b) for a, b in arcs if lo <= a and -b <= hi]
+
+
+def _cut_at_uncovered(arcs, lo, hi):
+    """outer_decompose by its definition: the ranges between the vertices
+    of [lo, hi] lying strictly inside no arc inside [lo, hi]."""
+    inside = _inside(arcs, lo, hi)
+    points = [v for v in range(lo, hi + 1) if not any(a < v < -b for a, b in inside)]
+    return list(zip(points, points[1:]))
+
+
+def _ranges_cut(p):
+    """The vertex ranges that φ⁻¹ cuts while it reads p."""
+    ranges = []
+    restrict = motzkin_ncl.bijection.restrict_partition
+
+    def recording(arcs, lo, hi):
+        ranges.append((lo, hi))
+        return restrict(arcs, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(motzkin_ncl.bijection, "restrict_partition", recording)
+        partition_to_path(p)
+    return ranges
 
 
 class TestRestrict:
     def test_keeps_inside_arcs_and_relabels(self):
-        # the arcs keep the partition's own vertex numbers
+        # the index skips the outer arc (4, 13) that leaves vertex 4, and
+        # the arcs inside follow it, in the partition's own vertex numbers
         arcs, _ = arcs_of("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
-        assert restrict_partition(arcs, 5, 12) == [
-            Arc(5, 6), Arc(5, 7), Arc(8, 10), Arc(8, 11), Arc(11, 12)
-        ]
+        i = restrict_partition(arcs, 4, 12)
+        assert arcs[i:] == [(5, -7), (5, -6), (8, -11), (8, -10), (11, -12)]
 
     def test_single_vertex_window(self):
         arcs, _ = arcs_of("{1,2}")
-        assert restrict_partition(arcs, 2, 2) == []
-
-
-def _filter_by_window(arcs, lo, hi):
-    """restrict_partition by its definition: the arcs inside [lo, hi]."""
-    return sorted(arc for arc in arcs if lo <= arc[0] and arc[1] <= hi)
-
-
-def _cut_at_uncovered(arcs, lo, hi):
-    """outer_decompose by its definition: the windows between the
-    vertices of [lo, hi] lying strictly inside no arc."""
-    points = [v for v in range(lo, hi + 1) if not any(a < v < b for a, b in arcs)]
-    return [
-        (a, b, _filter_by_window(arcs, a, b)) for a, b in zip(points, points[1:])
-    ]
-
-
-def _check_sorted_slices(p):
-    """Both cuts against their definitions on p, for every window, then
-    again on every piece they returned, which feeds its sorted sub-list
-    to the next call as φ⁻¹ does."""
-    arcs = sorted(p.arcs)
-    pieces = outer_decompose(arcs, 1, p.n)
-    assert pieces == _cut_at_uncovered(arcs, 1, p.n)
-    for lo in range(1, p.n + 1):
-        for hi in range(lo, p.n + 1):
-            inside = restrict_partition(arcs, lo, hi)
-            assert inside == _filter_by_window(arcs, lo, hi)
-            pieces.append((lo, hi, inside))
-    for lo, hi, inside in pieces:
-        assert outer_decompose(inside, lo, hi) == _cut_at_uncovered(inside, lo, hi)
-        for a in range(lo, hi + 1):
-            for b in range(a, hi + 1):
-                assert restrict_partition(inside, a, b) == _filter_by_window(arcs, a, b)
-
-
-@st.composite
-def arc_sets(draw):
-    """Any in-range arc set on 2..10 vertices: crossing arcs and shared
-    left ends included, built through the public constructor."""
-    n = draw(st.integers(2, 10))
-    arcs = st.integers(1, n - 1).flatmap(
-        lambda a: st.tuples(st.just(a), st.integers(a + 1, n))
-    )
-    return LinkedPartition(n, draw(st.sets(arcs, max_size=12)))
+        assert restrict_partition(arcs, 2, 2) == 1
+        assert outer_decompose(arcs, 1, 2, 2) == []
 
 
 class TestSortedSlices:
+    # both cuts against their definitions on every range that φ⁻¹ cuts:
+    # the arcs inside the range follow the index of restrict_partition in
+    # one run, and outer_decompose cuts at the uncovered vertices
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_partition_against_filter_then_shift(self, n):
         for p in gen_ncl(n):
+            arcs = keyed(p)
             before = dict(p.__dict__)
-            _check_sorted_slices(p)
+            ranges = _ranges_cut(p)
             assert p.__dict__ == before  # the caller's object is left alone
-
-    @given(arc_sets())
-    def test_any_arc_set_against_filter_then_shift(self, p):
-        before = dict(p.__dict__)
-        _check_sorted_slices(p)
-        assert p.__dict__ == before
+            assert ranges[0] == (1, n)
+            for lo, hi in ranges:
+                inside = _inside(arcs, lo, hi)
+                i = restrict_partition(arcs, lo, hi)
+                assert arcs[i : i + len(inside)] == inside
+                assert cut(arcs, lo, hi) == _cut_at_uncovered(arcs, lo, hi)
 
 
 class TestOuterDecompose:
     def test_arc_free_partition_is_one_component(self):
-        assert outer_decompose([], 1, 2) == [(1, 2, [])]
+        assert cut([], 1, 2) == [(1, 2)]
 
     def test_worked_example_outer_points(self):
         # split points 1, 4 and 13: components on 1..4 and 4..13
         arcs, n = arcs_of("{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}")
-        (a, b, first), (c, d, second) = outer_decompose(arcs, 1, n)
-        assert (a, b, c, d) == (1, 4, 4, 13)
-        assert first == [Arc(1, 3), Arc(1, 4)]
-        assert len(second) == 6 and Arc(4, 13) in second
+        assert cut(arcs, 1, n) == [(1, 4), (4, 13)]
 
     def test_axis_chain_cuts_at_every_link(self):
         arcs, n = arcs_of("{1,2}{2,3}")
-        assert outer_decompose(arcs, 1, n) == [(1, 2, [Arc(1, 2)]), (2, 3, [Arc(2, 3)])]
+        assert cut(arcs, 1, n) == [(1, 2), (2, 3)]
 
     def test_covered_chain_stays_in_one_component(self):
         # the outer arc (1,4) shields the chain 1-2-3 from being cut
         arcs, n = arcs_of("{1,2,4}{2,3}")
-        assert outer_decompose(arcs, 1, n) == [
-            (1, 4, [Arc(1, 2), Arc(1, 4), Arc(2, 3)])
-        ]
+        assert cut(arcs, 1, n) == [(1, 4)]
 
     def test_single_vertex_has_no_components(self):
-        assert outer_decompose([], 1, 1) == []
+        assert cut([], 1, 1) == []
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_splits_at_the_vertices_inside_no_arc(self, n):
+        # the arcs inside any range of a valid partition are noncrossing,
+        # so the cut holds on every range, not only those φ⁻¹ cuts
         for p in gen_ncl(n):
-            arcs = sorted(p.arcs)
-            points = [
-                v
-                for v in range(1, n + 1)
-                if not any(a < v < b for a, b in p.arcs)
-            ]
-            expected = [
-                (lo, hi, restrict_partition(arcs, lo, hi))
-                for lo, hi in zip(points, points[1:])
-            ]
-            assert outer_decompose(arcs, 1, n) == expected
+            arcs = keyed(p)
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    assert cut(arcs, lo, hi) == _cut_at_uncovered(arcs, lo, hi)
 
     def test_deep_nesting_is_linear(self):
+        # every level of a nest of 20 000 arcs is one component, found by
+        # one bisection: a cut that scans the arcs inside each level would
+        # read 2 * 10^8 of them
         n = 40_000
-        arcs = [Arc(i, n + 1 - i) for i in range(1, n // 2 + 1)]
+        arcs = [(i, -(n + 1 - i)) for i in range(1, n // 2 + 1)]
         started = time.perf_counter()
-        (only,) = outer_decompose(arcs, 1, n)
+        for lo in range(1, n // 2 + 1):
+            assert cut(arcs, lo, n + 1 - lo) == [(lo, n + 1 - lo)]
         assert time.perf_counter() - started < 5.0
-        assert only == (1, n, arcs)
 
 
 class TestArcReachable:

@@ -5,11 +5,11 @@ path objects without walking them, because their words are valid by
 construction.  Likewise the partition producers (the parser, the forward
 bijection and the partition generator) hand over arcs that are in range
 by construction, without normalising them; the partition cuts that the
-inverse bijection reads build no partition, and hand over sorted
-sub-lists of a partition's own arcs.  Nothing downstream checks those
-objects again, so here every object is rebuilt through its public,
-checking constructor, and every arc a cut hands over is checked against
-its window.
+inverse bijection reads build no partition, and hand over an index into
+a partition's own sorted arcs and vertex ranges.  Nothing downstream
+checks those objects again, so here every object is rebuilt through its
+public, checking constructor, and every index and range a cut hands
+over is checked against its window.
 """
 
 import pytest
@@ -78,23 +78,27 @@ def test_inverse_bijection(n):
         assert_rebuilds(partition_to_path(q), LargeMotzkinPath)
 
 
-def assert_arcs_inside(arcs, lo, hi):
-    # sorted Arc objects of the partition, each inside its window
-    assert type(arcs) is list and arcs == sorted(arcs)
-    for arc in arcs:
-        assert type(arc) is Arc and lo <= arc.left < arc.right <= hi
+def assert_tiles(pieces, lo, hi):
+    # int vertex ranges, laid end to end from lo to hi
+    assert type(pieces) is list
+    ends = [lo]
+    for first, last in pieces:
+        assert type(first) is int and type(last) is int and first < last
+        assert first == ends[-1]
+        ends.append(last)
+    assert ends[-1] == hi
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_partition_generator_and_decompositions(n):
     for q in gen_ncl(n):
         assert_partition_rebuilds(q)
-        arcs = sorted(q.arcs)
-        for lo, hi, inside in outer_decompose(arcs, 1, n):
-            assert_arcs_inside(inside, lo, hi)
+        arcs = sorted((a, -b) for a, b in q.arcs)
         for lo in range(1, n + 1):
             for hi in range(lo, n + 1):
-                assert_arcs_inside(restrict_partition(arcs, lo, hi), lo, hi)
+                i = restrict_partition(arcs, lo, hi)
+                assert type(i) is int and 0 <= i <= len(arcs)
+                assert_tiles(outer_decompose(arcs, i, lo, hi), lo, hi)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
