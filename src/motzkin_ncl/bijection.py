@@ -6,12 +6,12 @@ forward map then tabulates where each component ends in one pass,
 recurses on index ranges of the one word, jumping from piece to piece,
 and builds its one partition from the arcs at the end, so it runs in
 linear time; input nested past the recursion limit raises ValueError.
-The inverse sorts the arcs once, as (left, -right) pairs so that each
-vertex's longest arc comes first, and reads vertex ranges of that one
-list off one work stack, in the partition's own vertex numbers: it
-neither recurses nor builds a partition, and reads any depth in
-O(n log n).  Each map builds only its result, in range by construction,
-so it skips the public constructor's checks.
+The inverse reads the arcs as its validation sorted them, (left, -right)
+pairs with each vertex's longest arc first, off one work stack of vertex
+ranges in the partition's own vertex numbers: it neither recurses nor
+builds a partition, and reads any depth in O(n log n).  Each map builds
+only its result, in range by construction, so it skips the public
+constructor's checks.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,
@@ -52,10 +52,10 @@ from .structures import (
     Arc,
     LargeMotzkinPath,
     LinkedPartition,
+    _checked_arcs,
     _unchecked,
     parse_partition,
     validate_large,
-    validate_ncl,
 )
 
 
@@ -144,9 +144,7 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     """Inverse map; the input must be a valid noncrossing linked partition."""
     if isinstance(p, str):
         p = parse_partition(p)
-    validate_ncl(p)
-    arcs = sorted([(a, -b) for a, b in p.arcs])  # each vertex's longest arc first
-    incoming = {b: a for a, b in p.arcs}
+    arcs, incoming = _checked_arcs(p)  # each vertex's longest arc first
     letters = []
     # vertex ranges still to read and letters to write, last first
     todo: list[str | tuple[int, int]] = [(1, p.n)]

@@ -503,7 +503,15 @@ def _nearly_disjoint(block_a: tuple[int, ...], block_b: tuple[int, ...]) -> bool
 
 def validate_ncl(p: LinkedPartition) -> LinkedPartition:
     """Arc-level acceptance: in-degree at most one, no crossing arcs."""
-    if len(set(map(_second, p.arcs))) < len(p.arcs):
+    _checked_arcs(p)
+    return p
+
+
+def _checked_arcs(p: LinkedPartition) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """:func:`validate_ncl`'s checks, returning the sorted (left, -right) arc
+    pairs, each vertex's longest first, and {right: left} of every arc."""
+    incoming = {b: a for a, b in p.arcs}
+    if len(incoming) < len(p.arcs):
         # name the first right end that repeats, in sorted arc order
         rights = set()
         for _, b in sorted(p.arcs):
@@ -513,18 +521,16 @@ def validate_ncl(p: LinkedPartition) -> LinkedPartition:
     # sweep arcs by left endpoint, longest first: the arcs still open
     # over the current left endpoint are nested, innermost on top, so a
     # new arc crosses one of them exactly when it outlasts the top one
-    open_arcs: list[Arc] = []
-    for arc in sorted(p.arcs, key=_outer_first):
-        while open_arcs and open_arcs[-1].right <= arc.left:
+    arcs = sorted([(a, -b) for a, b in p.arcs])
+    open_arcs: list[tuple[int, int]] = []
+    for a, b in arcs:  # b is minus the right end
+        while open_arcs and -open_arcs[-1][1] <= a:
             open_arcs.pop()
-        if open_arcs and open_arcs[-1].right < arc.right:
-            raise CrossingArcs(open_arcs[-1], arc)
-        open_arcs.append(arc)
-    return p
-
-
-def _outer_first(arc: Arc) -> tuple[int, int]:
-    return arc.left, -arc.right
+        if open_arcs and open_arcs[-1][1] > b:
+            c, d = open_arcs[-1]
+            raise CrossingArcs(Arc(c, -d), Arc(a, -b))
+        open_arcs.append((a, b))
+    return arcs, incoming
 
 
 def validate_ncl_blockwise(p: LinkedPartition) -> LinkedPartition:
@@ -616,17 +622,18 @@ def _partition_rows(p: LinkedPartition) -> Iterator[str]:
         # longest first by left endpoint, those are the earlier arcs that
         # end no sooner, counted by a Fenwick tree over right endpoints
         ends = [0] * (p.n + 1)
-        rows: list[list[Arc]] = []
-        for seen, arc in enumerate(sorted(p.arcs, key=_outer_first)):
+        rows: list[list[tuple[int, int]]] = []
+        for seen, (left, right) in enumerate(sorted([(a, -b) for a, b in p.arcs])):
+            right = -right
             shorter = 0
-            i = arc.right - 1
+            i = right - 1
             while i:
                 shorter += ends[i]
                 i &= i - 1
             depth = seen - shorter
             rows.extend([] for _ in range(depth + 1 - len(rows)))
-            rows[depth].append(arc)
-            i = arc.right
+            rows[depth].append((left, right))
+            i = right
             while i <= p.n:
                 ends[i] += 1
                 i += i & -i
@@ -635,10 +642,10 @@ def _partition_rows(p: LinkedPartition) -> Iterator[str]:
         uprights = bytearray(b" " * (col - 1))
         for arcs in rows:
             row = uprights[:]
-            for arc in arcs:
-                lo, hi = pos[arc.left - 1], pos[arc.right - 1]
+            for left, right in arcs:
+                lo, hi = pos[left - 1], pos[right - 1]
                 row[lo : hi + 1] = b"." + b"-" * (hi - lo - 1) + b"."
             yield row.rstrip().decode()
-            for arc in arcs:
-                uprights[pos[arc.left - 1]] = uprights[pos[arc.right - 1]] = ord("|")
+            for left, right in arcs:
+                uprights[pos[left - 1]] = uprights[pos[right - 1]] = ord("|")
     yield " ".join(labels)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import motzkin_ncl.bijection
+import motzkin_ncl.decompose
 import motzkin_ncl.structures
 from motzkin_ncl import (
     Arc,
@@ -158,18 +159,39 @@ class TestInverse:
         "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
     )
     def test_validates_once(self, word, monkeypatch):
-        # φ⁻¹ cuts ranges of an already valid partition
+        # φ⁻¹ cuts ranges of an already valid partition; its one check is
+        # the validating sweep, which also hands it the sorted arcs
         calls = []
-        validate = motzkin_ncl.bijection.validate_ncl
+        sweep = motzkin_ncl.bijection._checked_arcs
 
         def counting(p):
             calls.append(p.n)
-            return validate(p)
+            return sweep(p)
 
-        monkeypatch.setattr(motzkin_ncl.bijection, "validate_ncl", counting)
+        monkeypatch.setattr(motzkin_ncl.bijection, "_checked_arcs", counting)
         q = path_to_partition(word)
         assert partition_to_path(q).text == word
         assert calls == [q.n]
+
+    @pytest.mark.parametrize(
+        "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
+    )
+    def test_sorts_once(self, word, monkeypatch):
+        # the list the validating sweep sorts is the one φ⁻¹ cuts: no
+        # module on φ⁻¹'s way sorts the arcs again
+        q = path_to_partition(word)
+        calls = []
+
+        def counting(*args, **kwargs):
+            items = sorted(*args, **kwargs)
+            calls.append(len(items))
+            return items
+
+        modules = (motzkin_ncl.structures, motzkin_ncl.bijection, motzkin_ncl.decompose)
+        for module in modules:
+            monkeypatch.setattr(module, "sorted", counting, raising=False)
+        assert partition_to_path(q).text == word
+        assert calls == [len(q.arcs)]
 
     @pytest.mark.parametrize(
         "word", ["U" * 50 + "x" * 50, "Ucx" * 50], ids=["nested", "chain"]
