@@ -8,8 +8,11 @@ and builds its one partition from the arcs at the end, so it runs in
 linear time; input nested past the recursion limit raises ValueError.
 The inverse reads the arcs as its validation sorted them, (left, -right)
 pairs with each vertex's longest arc first, off one work stack of vertex
-ranges in the partition's own vertex numbers: it neither recurses nor
-builds a partition, and reads any depth in O(n log n).  Each map builds
+ranges in the partition's own vertex numbers, each with its level h, and
+writes the letter that starts at vertex v at index v - 1 + h: the rule
+the forward map reads by, where the step at index t, at height h, starts
+at vertex t + 1 - h.  It neither recurses nor builds a partition, and
+reads any depth in O(n log n).  Each map builds
 only its result, in range by construction, so it skips the public
 constructor's checks.
 
@@ -145,34 +148,29 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         p = parse_partition(p)
     arcs, incoming = _checked_arcs(p)  # each vertex's longest arc first
-    letters = []
-    # vertex ranges still to read and letters to write, last first
-    todo: list[str | tuple[int, int]] = [(1, p.n)]
+    letters = [""] * (p.n - 1)
+    # vertex ranges still to read, each with its level h: a component's
+    # first vertex v writes letter v - 1 + h
+    todo = [(1, p.n, 0)]
     while todo:
-        item = todo.pop()
-        if type(item) is str:
-            letters.append(item)
-            continue
-        lo, hi = item
-        pieces = outer_decompose(arcs, restrict_partition(arcs, lo, hi), lo, hi)
-        for a, b in reversed(pieces):
+        lo, hi, h = todo.pop()
+        for a, b in outer_decompose(arcs, restrict_partition(arcs, lo, hi), lo, hi):
             if b == a + 1:
-                todo.append("a" if incoming.get(b) == a else "b")
+                letters[a - 1 + h] = "a" if incoming.get(b) == a else "b"
                 continue
-            # walk back from b-1 along incoming arcs; the stops, with a at
-            # the end, cut a..b-1 into the segments, and the closing color
-            # is 1 (x) exactly when the walk reaches a
-            stops = [b - 1]
-            while stops[-1] != a and stops[-1] in incoming:
-                stops.append(incoming[stops[-1]])
-            if stops[-1] == a:
-                todo.append("x")
-            else:
-                todo.append("y")
-                stops.append(a)
-            for end, first in zip(stops, stops[1:]):
+            # walk back from b-1 along incoming arcs: each stop opens a
+            # segment with c (U at a), and the closing color is 1 (x)
+            # exactly when the walk reaches a
+            letters[a - 1 + h] = "U"
+            end = b - 1
+            while end != a and end in incoming:
+                first = incoming[end]
+                if first != a:
+                    letters[first - 1 + h] = "c"
                 if first < end - 1:  # one vertex is the empty word
-                    todo.append((first, end - 1))
-                todo.append("c")
-            todo[-1] = "U"  # the first segment opens the component
+                    todo.append((first, end - 1, h + 1))
+                end = first
+            letters[b - 2 + h] = "x" if end == a else "y"
+            if a < end - 1:  # stopped short of a: a..end-1 is the first segment
+                todo.append((a, end - 1, h + 1))
     return _unchecked(LargeMotzkinPath, text="".join(letters))

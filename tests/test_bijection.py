@@ -501,6 +501,11 @@ def _shape_words():
     yield from ("U" * k + "b" * k + "y" * k for k in range(121))
     yield from ("Ucx" * k for k in range(201))
     yield from ("U" + "Ucy" * k + "x" for k in range(201))
+    # chains deep inside nests, where a c and its segments sit at level k
+    for k in range(0, 121, 8):
+        yield "U" * k + "Ucy" * k + "x" * k
+        yield "U" * k + "ac" * k + "y" * k
+        yield "U" * k + "b" * k + "Ucx" * k + "y" * k
 
 
 def _random_words():
