@@ -10,11 +10,11 @@ The inverse reads the arcs as its validation sorted them, (left, -right)
 pairs with each vertex's longest arc first, off one work stack of vertex
 ranges in the partition's own vertex numbers, each with its level h, and
 writes the letter that starts at vertex v at index v - 1 + h: the rule
-the forward map reads by, where the step at index t, at height h, starts
-at vertex t + 1 - h.  It neither recurses nor builds a partition, and
-reads any depth in O(n log n).  Each map builds
-only its result, in range by construction, so it skips the public
-constructor's checks.
+the forward map lays its arcs out by, where the step at index t, at
+height h, starts at vertex t + 1 - h.  It neither recurses nor builds a
+partition, and reads any depth in O(n log n).  Each map builds only its
+result, in range by construction, so it skips the public constructor's
+checks.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,

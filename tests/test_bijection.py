@@ -501,7 +501,7 @@ def _shape_words():
     yield from ("U" * k + "b" * k + "y" * k for k in range(121))
     yield from ("Ucx" * k for k in range(201))
     yield from ("U" + "Ucy" * k + "x" for k in range(201))
-    # chains deep inside nests, where a c and its segments sit at level k
+    # chains deep inside nests: each c, and its segments, at level k or k + 1
     for k in range(0, 121, 8):
         yield "U" * k + "Ucy" * k + "x" * k
         yield "U" * k + "ac" * k + "y" * k
