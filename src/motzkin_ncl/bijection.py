@@ -56,6 +56,7 @@ from .structures import (
     LargeMotzkinPath,
     LinkedPartition,
     _checked_arcs,
+    _new_arc,
     _unchecked,
     parse_partition,
     validate_large,
@@ -90,7 +91,7 @@ def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
         _word_arcs(word, component_ends(word), 0, len(word), 0, pairs)
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
-    arcs = frozenset(map(Arc._make, pairs))
+    arcs = frozenset(map(_new_arc, pairs))
     return _unchecked(LinkedPartition, n=len(word) + 1, arcs=arcs)
 
 

@@ -18,14 +18,12 @@ error with ``line N:``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bijection import path_to_partition, partition_to_path
 from .counting import (
@@ -184,6 +182,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _jsonl(kind: str, n: int, text: str) -> str:
+    import json  # only --format jsonl needs it, so start-up skips it
+
     return json.dumps({"kind": kind, "n": n, "text": text}, separators=(",", ":"))
 
 
@@ -240,8 +240,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 # verify
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     scope: str
     checked: int

@@ -36,13 +36,13 @@ symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+from .structures import _Frozen
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(_Frozen):
     """A finite prefix of one counting sequence.
 
     ``values[i]`` holds the term of index ``offset + i``; every sequence
@@ -50,10 +50,10 @@ class SequenceTable:
     how the numbers were produced.
     """
 
-    name: str
-    offset: int
-    values: tuple[int, ...]
-    recurrence: str
+    _fields = ("name", "offset", "values", "recurrence")
+
+    def __init__(self, name: str, offset: int, values: tuple, recurrence: str) -> None:
+        self.__dict__.update(zip(self._fields, (name, offset, values, recurrence)))
 
     @property
     def max_index(self) -> int:
@@ -188,15 +188,13 @@ def _schroder_convolution(upto: int) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     holds: bool
     first_failure: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     max_index: int
     checks: tuple[IdentityCheck, ...]
 

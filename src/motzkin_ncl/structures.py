@@ -26,9 +26,11 @@ The objects handled by this package:
   arcs cross.
 
 A path is its text word, and the other modules take words apart with
-string operations.  All types are immutable values.  Path constructors
-check the alphabet and then the heights, so a path object is proof of
-its validity.  The public :class:`LinkedPartition` constructor
+string operations.  All types are immutable values without
+``dataclasses``: each ``__init__`` writes its fields into ``__dict__``,
+and their base :class:`_Frozen` refuses to set or delete one.  Path
+constructors check the alphabet and then the heights, so a path object
+is proof of its validity.  The public :class:`LinkedPartition` constructor
 normalises its arcs to :class:`Arc` and checks their bounds only, so
 that the validators can still see invalid arc sets.  Producers whose
 output is valid (a path) or in range (a partition) by construction skip
@@ -48,11 +50,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, groupby
 from operator import itemgetter, neg
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 _PATH_ALPHABET = frozenset(_DELTA)
@@ -149,6 +150,30 @@ def _check_alphabet(text: str, alphabet: frozenset[str]) -> None:
         raise ParseError(f"unknown step character {text[bad]!r}", bad)
 
 
+class _Frozen:
+    """Compares, hashes and prints ``_fields`` as a frozen dataclass does."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+
 def _unchecked(cls, **fields):
     """An object of ``cls`` built from ``fields`` with no check or
     normalisation; only for producers whose output is valid by
@@ -158,14 +183,17 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True, eq=False)
-class MotzkinPath:
+class MotzkinPath(_Frozen):
     """A (3,2)-Motzkin path, stored as its text word.  Construction
     checks the alphabet and then the heights, so every object is valid.
     """
 
-    text: str
+    _fields = ("text",)
     _barred, _axis_error = None, None  # the letter the axis bars, its error
+
+    def __init__(self, text: str) -> None:
+        self.__dict__["text"] = text
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_alphabet(self.text, _PATH_ALPHABET)
@@ -255,8 +283,7 @@ def _schroder_barred(variant: str) -> str | None:
     return "F" if variant == "little" else None
 
 
-@dataclass(frozen=True)
-class SchroderPath:
+class SchroderPath(_Frozen):
     """A Schroeder path; ``F`` steps span two x-units.
 
     ``variant`` is ``"large"`` or ``"little"``; the little family has no
@@ -264,8 +291,11 @@ class SchroderPath:
     variant and then the heights under that variant's rule.
     """
 
-    text: str
-    variant: str = "large"
+    _fields = ("text", "variant")
+
+    def __init__(self, text: str, variant: str = "large") -> None:
+        self.__dict__.update(text=text, variant=variant)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_alphabet(self.text, _SCHRODER_ALPHABET)
@@ -299,8 +329,7 @@ class Arc(NamedTuple):
     right: int
 
 
-@dataclass(frozen=True)
-class LinkedPartition:
+class LinkedPartition(_Frozen):
     """An arc diagram on the vertices 1..n.
 
     The public constructor accepts any iterable of (left, right) pairs,
@@ -311,8 +340,11 @@ class LinkedPartition:
     frozenset of :class:`Arc` to :func:`_unchecked` instead.
     """
 
-    n: int
-    arcs: frozenset[Arc] = frozenset()
+    _fields = ("n", "arcs")
+
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = frozenset()) -> None:
+        self.__dict__.update(n=n, arcs=arcs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -575,3 +575,35 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1\n2\n6\n"
+
+
+class TestStartUp:
+    # modules that the value types and --format jsonl once pulled into
+    # every start-up; counted in a fresh interpreter, not timed
+    HEAVY = ("dataclasses", "inspect", "json", "ast", "dis", "tokenize")
+    PROBE = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import motzkin_ncl.cli\n"
+        "motzkin_ncl.cli.build_parser()\n"
+        "print(sorted(set(sys.modules) - before), file=sys.stderr)\n"
+        "sys.exit(motzkin_ncl.cli.main(sys.argv[1:]))\n"
+    )
+
+    def test_import_loads_no_heavy_module_and_jsonl_still_prints(self):
+        import ast
+        import subprocess
+
+        argv = ["enumerate", "--family", "large", "--n", "2", "--format", "jsonl"]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], capture_output=True
+        )
+        assert proc.returncode == 0
+        added = ast.literal_eval(proc.stderr.decode())
+        assert "motzkin_ncl.cli" in added
+        assert [name for name in self.HEAVY if name in added] == []
+        # byte for byte what json printed when start-up imported it
+        assert proc.stdout == b"".join(
+            b'{"kind":"large","n":2,"text":"%s"}\n' % word
+            for word in (b"Ux", b"Uy", b"aa", b"ab", b"ba", b"bb")
+        )

@@ -23,6 +23,7 @@ from motzkin_ncl import (
     PartitionError,
     SchroderPath,
     blocks_of,
+    ncl_counts,
     parse_partition,
     path_to_partition,
     render_ascii,
@@ -32,6 +33,7 @@ from motzkin_ncl import (
     validate_ncl,
     validate_ncl_blockwise,
     validate_schroder,
+    verify_identities,
 )
 from motzkin_ncl.structures import _nearly_disjoint, ascii_rows
 
@@ -182,6 +184,70 @@ class TestLinkedPartition:
     def test_no_vertices_rejected(self):
         with pytest.raises(PartitionError):
             LinkedPartition(0)
+
+
+class TestValueTypes:
+    # the contract the frozen dataclasses kept, in the texts they printed
+    RECURRENCE = (
+        "f(n+1) = L(n) = S(n), f(1) = 1, "
+        "(n+1) S(n) = 3(2n-1) S(n-1) - (n-2) S(n-2), S(0) = 1, S(1) = 2"
+    )
+
+    def test_repr(self):
+        assert repr(LargeMotzkinPath("Ux")) == "LargeMotzkinPath(text='Ux')"
+        assert repr(SchroderPath("UD")) == "SchroderPath(text='UD', variant='large')"
+        assert repr(LinkedPartition(3, [(1, 3)])) == (
+            "LinkedPartition(n=3, arcs=frozenset({Arc(left=1, right=3)}))"
+        )
+        assert repr(ncl_counts(2)) == (
+            "SequenceTable(name='f', offset=1, values=(1, 2), "
+            f"recurrence={self.RECURRENCE!r})"
+        )
+        names = ("L(n) = 2 m(n-1)", "L(n) = S(n)", "S(n) = 2 s(n)", "s(n) = m(n-1)")
+        checks = ", ".join(
+            f"IdentityCheck(name={name!r}, holds=True, first_failure=None)"
+            for name in names
+        )
+        assert repr(verify_identities(1)) == (
+            f"IdentityReport(max_index=1, checks=({checks}))"
+        )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [MotzkinPath("Ux"), LargeMotzkinPath("Ux"), SchroderPath("UD")],
+        ids=["plain", "large", "schroder"],
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, obj):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'text'$"):
+            obj.text = "aa"
+        with pytest.raises(AttributeError, match="^cannot delete field 'text'$"):
+            del obj.text
+        assert obj.text in ("Ux", "UD")
+
+    def test_partition_and_table_fields_are_frozen(self):
+        p = LinkedPartition(3, [(1, 3)])
+        with pytest.raises(AttributeError, match="^cannot assign to field 'n'$"):
+            p.n = 4
+        with pytest.raises(AttributeError, match="^cannot assign to field 'values'$"):
+            ncl_counts(2).values = ()
+
+    def test_equality_and_hash(self):
+        large, plain = LargeMotzkinPath("Ux"), MotzkinPath("Ux")
+        assert large == plain and hash(large) == hash(plain)
+        assert SchroderPath("UD", "large") != SchroderPath("UD", "little")
+        assert SchroderPath("UD") == SchroderPath("UD", "large")
+        assert hash(SchroderPath("UD")) == hash(SchroderPath("UD", "large"))
+        p = LinkedPartition(n=3, arcs=[(1, 3)])
+        assert p == LinkedPartition(3, {Arc(1, 3)}) and p != LinkedPartition(3)
+        assert hash(p) == hash(LinkedPartition(3, [(1, 3)]))
+        assert p != SchroderPath("UD") and p != (3, frozenset({Arc(1, 3)}))
+        assert ncl_counts(5) == ncl_counts(5) != ncl_counts(4)
+
+    def test_table_keeps_its_offset(self):
+        table = ncl_counts(5)
+        assert table[1] == 1 and table[5] == 90 and table.max_index == 5
+        with pytest.raises(IndexError):
+            table[0]
 
 
 class TestParsePartition:
