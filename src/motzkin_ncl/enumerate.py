@@ -46,6 +46,7 @@ and it never consults the bijection.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 from .structures import (
@@ -75,21 +76,17 @@ def _words(
         yield ""
         return
     letters = sorted(delta)
-    options: dict[tuple[int, int], tuple[tuple[str, int, int], ...]] = {}
 
+    @cache
     def steps_from(h: int, r: int) -> tuple[tuple[str, int, int], ...]:
         """The feasible letters at height h with r units left, each with
         the height and units left after it."""
-        key = (h, r)
-        found = options.get(key)
-        if found is None:
-            found = options[key] = tuple(
-                (ch, h + delta[ch], r - width[ch])
-                for ch in letters
-                if 0 <= h + delta[ch] <= r - width[ch]
-                and not (h == 0 and ch == barred)
-            )
-        return found
+        return tuple(
+            (ch, h + delta[ch], r - width[ch])
+            for ch in letters
+            if 0 <= h + delta[ch] <= r - width[ch]
+            and not (h == 0 and ch == barred)
+        )
 
     chars: list[str] = []
     stack = [iter(steps_from(0, units))]
@@ -155,37 +152,30 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
     """
     if n < 1:
         raise ValueError("partitions need at least one vertex")
-    openings: dict[tuple[int, bool], tuple[_Step, ...]] = {}
-    elements: dict[tuple[int, int], tuple[_Step, ...]] = {}
 
-    def opening_steps(v: int, u: int) -> tuple[_Step, ...]:
-        """The next block after v's, in token order; u is the first
-        untaken vertex after v, and u - 1, if after v, is taken."""
-        key = (u, u - 1 > v)
-        found = openings.get(key)
-        if found is None:
-            steps = [("{%d," % u, u, False), ("{%d}" % u, u, True)]
-            if u - 1 > v:
-                steps.append(("{%d," % (u - 1), u - 1, False))
-            found = openings[key] = tuple(sorted(steps))
-        return found
+    @cache
+    def opening_steps(u: int, after_taken: bool) -> tuple[_Step, ...]:
+        """The next block once u is the first untaken vertex after the
+        last block's minimum v, in token order; ``after_taken`` says that
+        u - 1 is a taken vertex after v."""
+        steps = [("{%d," % u, u, False), ("{%d}" % u, u, True)]
+        if after_taken:
+            steps.append(("{%d," % (u - 1), u - 1, False))
+        return tuple(sorted(steps))
 
+    @cache
     def element_steps(lo: int, hi: int) -> tuple[_Step, ...]:
         """The steps that add one of lo..hi-1 to the open block, in token
         order."""
-        key = (lo, hi)
-        found = elements.get(key)
-        if found is None:
-            found = elements[key] = tuple(sorted(
-                (f"{e}{end}", e, end == "}") for e in range(lo, hi) for end in ",}"
-            ))
-        return found
+        return tuple(sorted(
+            (f"{e}{end}", e, end == "}") for e in range(lo, hi) for end in ",}"
+        ))
 
     tokens: list[str] = []
     arcs: list[Arc] = []
     # a frame: the steps left to try, the open block's minimum, the bound
     # its elements stay below, and the bitmask of the taken vertices
-    stack = [(iter(opening_steps(0, 1)), 0, n + 1, 0)]
+    stack = [(iter(opening_steps(1, False)), 0, n + 1, 0)]
     while stack:
         steps, v, bound, taken = stack[-1]
         step = next(steps, None)
@@ -215,4 +205,4 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
             continue
         above = taken >> (u + 1)  # the first taken vertex after u bounds u's block
         bound = u + (above & -above).bit_length() if above else n + 1
-        stack.append((iter(opening_steps(v, u)), v, bound, taken))
+        stack.append((iter(opening_steps(u, u - 1 > v)), v, bound, taken))

@@ -27,10 +27,11 @@ The objects handled by this package:
 
 A path is its text word, and the other modules take words apart with
 string operations.  All types are immutable values without
-``dataclasses``: each ``__init__`` writes its fields into ``__dict__``,
-and their base :class:`_Frozen` refuses to set or delete one.  Path
-constructors check the alphabet and then the heights, so a path object
-is proof of its validity.  The public :class:`LinkedPartition` constructor
+``dataclasses``: each ``__init__`` checks its arguments and only then
+writes its fields into ``__dict__``, and their base :class:`_Frozen`
+refuses to set or delete one.  Path constructors check the alphabet and
+then the heights, so a path object is proof of its validity.  The public
+:class:`LinkedPartition` constructor takes integer vertices only,
 normalises its arcs to :class:`Arc` and checks their bounds only, so
 that the validators can still see invalid arc sets.  Producers whose
 output is valid (a path) or in range (a partition) by construction skip
@@ -52,7 +53,7 @@ import re
 import sys
 from functools import partial
 from itertools import accumulate, chain, groupby
-from operator import itemgetter, neg
+from operator import index, itemgetter, neg
 from typing import Iterable, Iterator, NamedTuple
 
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
@@ -192,12 +193,9 @@ class MotzkinPath(_Frozen):
     _barred, _axis_error = None, None  # the letter the axis bars, its error
 
     def __init__(self, text: str) -> None:
+        _check_alphabet(text, _PATH_ALPHABET)
+        _walk_heights(text, _DELTA, self._barred, self._axis_error)
         self.__dict__["text"] = text
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _check_alphabet(self.text, _PATH_ALPHABET)
-        _walk_heights(self.text, _DELTA, self._barred, self._axis_error)
 
     def __len__(self) -> int:
         return len(self.text)
@@ -294,12 +292,9 @@ class SchroderPath(_Frozen):
     _fields = ("text", "variant")
 
     def __init__(self, text: str, variant: str = "large") -> None:
+        _check_alphabet(text, _SCHRODER_ALPHABET)
+        _walk_heights(text, _SCHRODER_DELTA, _schroder_barred(variant), AxisF)
         self.__dict__.update(text=text, variant=variant)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _check_alphabet(self.text, _SCHRODER_ALPHABET)
-        _walk_heights(self.text, _SCHRODER_DELTA, _schroder_barred(self.variant), AxisF)
 
     def __str__(self) -> str:
         return self.text
@@ -343,22 +338,25 @@ class LinkedPartition(_Frozen):
     _fields = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = frozenset()) -> None:
-        self.__dict__.update(n=n, arcs=arcs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+        n = _vertex(n)
+        if n < 1:
             raise PartitionError("a partition needs at least one vertex")
-        normalized = frozenset(Arc(int(a), int(b)) for a, b in self.arcs)
-        for arc in normalized:
-            if not (1 <= arc.left < arc.right <= self.n):
-                raise PartitionError(
-                    f"arc {tuple(arc)} out of range for n={self.n}"
-                )
-        object.__setattr__(self, "arcs", normalized)
+        arcs = frozenset(Arc(_vertex(a), _vertex(b)) for a, b in arcs)
+        for arc in arcs:
+            if not (1 <= arc.left < arc.right <= n):
+                raise PartitionError(f"arc {tuple(arc)} out of range for n={n}")
+        self.__dict__.update(n=n, arcs=arcs)
 
     def __str__(self) -> str:
         return render_partition(self)
+
+
+def _vertex(v: object) -> int:
+    """``v`` as an int, refusing floats, strings and other non-integers."""
+    try:
+        return index(v)
+    except TypeError:
+        raise PartitionError(f"vertex {v!r} is not an integer") from None
 
 
 _first = itemgetter(0)

@@ -211,13 +211,13 @@ class TestInverse:
             if name.startswith("motzkin_ncl."):
                 if getattr(module, "_unchecked", None) is unchecked:
                     monkeypatch.setattr(module, "_unchecked", counting)
-        post_init = LinkedPartition.__post_init__
+        init = LinkedPartition.__init__
 
-        def checked(self):
+        def checked(self, *args, **kwargs):
             built.append(LinkedPartition)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(LinkedPartition, "__post_init__", checked)
+        monkeypatch.setattr(LinkedPartition, "__init__", checked)
         assert partition_to_path(q).text == word
         assert built == [LargeMotzkinPath]
 

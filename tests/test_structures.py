@@ -185,6 +185,15 @@ class TestLinkedPartition:
         with pytest.raises(PartitionError):
             LinkedPartition(0)
 
+    @pytest.mark.parametrize(
+        "n, arcs, bad",
+        [(3, [(1.9, 3)], "1.9"), (3, [("1", "3")], "'1'"), (2.5, [], "2.5")],
+        ids=["float-end", "str-ends", "float-n"],
+    )
+    def test_vertices_must_be_integers(self, n, arcs, bad):
+        with pytest.raises(PartitionError, match=f"^vertex {bad} is not an integer$"):
+            LinkedPartition(n, arcs)
+
 
 class TestValueTypes:
     # the contract the frozen dataclasses kept, in the texts they printed
