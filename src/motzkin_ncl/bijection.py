@@ -4,17 +4,17 @@ noncrossing linked partitions of {1..n+1}.
 Both directions work on text words and validate their input once: the
 forward map then tabulates where each component ends in one pass,
 recurses on index ranges of the one word, jumping from piece to piece,
-and builds its one partition from the arcs at the end, so it runs in
-linear time; input nested past the recursion limit raises ValueError.
-The inverse reads the arcs as its validation sorted them, (left, -right)
-pairs with each vertex's longest arc first, off one work stack of vertex
-ranges in the partition's own vertex numbers, each with its level h, and
-writes the letter that starts at vertex v at index v - 1 + h: the rule
-the forward map lays its arcs out by, where the step at index t, at
-height h, starts at vertex t + 1 - h.  It neither recurses nor builds a
-partition, and reads any depth in O(n log n).  Each map builds only its
-result, in range by construction, so it skips the public constructor's
-checks.
+and lays its arcs out as ascending (left, -right) pairs, so it runs in
+linear time and sorts no arc; input nested past the recursion limit
+raises ValueError.  The inverse reads such a list, each vertex's longest
+arc first, as validation sorts a partition's arcs or as block text lists
+them, off one work stack of vertex ranges in the partition's own vertex
+numbers, each with its level h, and writes the letter that starts at
+vertex v at index v - 1 + h: the rule the forward map lays its arcs out
+by, where the step at index t, at height h, starts at vertex t + 1 - h.
+It neither recurses nor builds a partition, and reads any depth in
+O(n log n).  Each map builds only its result, in range by construction,
+so it skips the public constructor's checks.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,
@@ -56,9 +56,9 @@ from .structures import (
     LargeMotzkinPath,
     LinkedPartition,
     _checked_arcs,
+    _checked_text,
     _new_arc,
     _unchecked,
-    parse_partition,
     validate_large,
 )
 
@@ -86,13 +86,18 @@ class CaseTag(Enum):
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
     word = validate_large(path).text
+    arcs = frozenset([_new_arc((a, -b)) for a, b in _phi_arcs(word)])
+    return _unchecked(LinkedPartition, n=len(word) + 1, arcs=arcs)
+
+
+def _phi_arcs(word: str) -> list[tuple[int, int]]:
+    """The arcs of the valid large word's image, ascending (left, -right) pairs."""
     pairs: list[tuple[int, int]] = []
     try:
         _word_arcs(word, component_ends(word), 0, len(word), 0, pairs)
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
-    arcs = frozenset(map(_new_arc, pairs))
-    return _unchecked(LinkedPartition, n=len(word) + 1, arcs=arcs)
+    return pairs
 
 
 def _word_arcs(
@@ -110,18 +115,19 @@ def _word_arcs(
 def _component_arcs(
     word: str, ends: list[int], lo: int, hi: int, h: int, arcs: list[tuple[int, int]]
 ) -> None:
-    """Append the arcs of the image of the component word[lo:hi] at height h."""
+    """Append the arcs of the image of the component word[lo:hi] at height
+    h, each segment's tie before the arcs inside it, as they ascend."""
     first, step = lo + 1 - h, word[lo]
     if step == "a":
-        arcs.append((first, first + 1))
+        arcs.append((first, -first - 1))
     elif step == "U":
-        arcs.append((first, hi + 1 - h))
+        arcs.append((first, h - hi - 1))
         tie = word[hi - 1] == "x"  # closing color 2 leaves the first segment untied
         for a, b in split_axis_l3(word, ends, lo + 1, hi - 1):
+            if tie:
+                arcs.append((a - h, h - b - 1))
             if a < b:
                 _word_arcs(word, ends, a, b, h + 1, arcs)
-            if tie:
-                arcs.append((a - h, b + 1 - h))
             tie = True
 
 
@@ -147,12 +153,19 @@ def classify_component(component: LinkedPartition) -> CaseTag:
 def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     """Inverse map; the input must be a valid noncrossing linked partition."""
     if isinstance(p, str):
-        p = parse_partition(p)
-    arcs, incoming = _checked_arcs(p)  # each vertex's longest arc first
-    letters = [""] * (p.n - 1)
+        text = _path_text(*_checked_text(p))
+    else:
+        text = _path_text(p.n, *_checked_arcs(p))
+    return _unchecked(LargeMotzkinPath, text=text)
+
+
+def _path_text(n: int, arcs: list[tuple[int, int]], incoming: dict[int, int]) -> str:
+    """The word of the valid partition of 1..n with the ascending
+    (left, -right) pairs ``arcs`` and {right: left} of every arc."""
+    letters = [""] * (n - 1)
     # vertex ranges still to read, each with its level h: a component's
     # first vertex v writes letter v - 1 + h
-    todo = [(1, p.n, 0)]
+    todo = [(1, n, 0)]
     while todo:
         lo, hi, h = todo.pop()
         for a, b in outer_decompose(arcs, restrict_partition(arcs, lo, hi), lo, hi):
@@ -174,4 +187,4 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
             letters[b - 2 + h] = "x" if end == a else "y"
             if a < end - 1:  # stopped short of a: a..end-1 is the first segment
                 todo.append((a, end - 1, h + 1))
-    return _unchecked(LargeMotzkinPath, text="".join(letters))
+    return "".join(letters)

@@ -11,8 +11,8 @@ Exit codes: 0 on success, 1 on domain errors or failed verification,
 ``main`` builds its parser on its first call, about 1 ms, and reuses it
 in every later call of the process (``build_parser`` still returns a new
 one).  ``enumerate --limit`` skips the guard's count, so it builds no
-counting table.  ``map`` reads stdin a line at a time and prefixes an
-error with ``line N:``.
+counting table.  ``map`` builds no partition, reads stdin a line at a
+time and prefixes an error with ``line N:``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from contextlib import contextmanager, suppress
 from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterator, NamedTuple
 
-from .bijection import path_to_partition, partition_to_path
+from .bijection import _path_text, _phi_arcs, path_to_partition, partition_to_path
 from .counting import (
     large_motzkin_numbers,
     motzkin32_numbers,
@@ -38,6 +38,8 @@ from .enumerate import gen_large, gen_motzkin32, gen_ncl, gen_schroder
 from .structures import (
     Arc,
     LinkedPartition,
+    _block_text,
+    _checked_text,
     ascii_rows,
     parse_partition,
     render_ascii,
@@ -193,9 +195,11 @@ def _jsonl(kind: str, n: int, text: str) -> str:
 
 def _map_transform(args: argparse.Namespace) -> Callable[[str], str]:
     if args.phi:
-        return lambda line: render_partition(path_to_partition(validate_large(line)))
+        return lambda line: _block_text(
+            len(line) + 1, _phi_arcs(validate_large(line).text)
+        )
     if args.phi_inv:
-        return lambda line: partition_to_path(parse_partition(line)).text
+        return lambda line: _path_text(*_checked_text(line))
     if args.double is not None:
         bit = args.double
         return lambda line: double(line, bit).text

@@ -38,13 +38,13 @@ output is valid (a path) or in range (a partition) by construction skip
 those steps through the one private :func:`_unchecked`.
 
 A partition's text lists its blocks, such as ``{1,3,4}{2}``.
-:func:`parse_partition` checks the grammar with one compiled pattern,
-reads the labels with ``str.split`` and ``int``, and runs every other
-check on the int lists; the character offset of an error is found only
-once there is one.  :func:`render_partition` and :func:`blocks_of` take
-the blocks from one sort of the arcs, grouped by left end.  No Python
-loop runs per character on either side; the one Python step per arc
-makes its :class:`Arc`.
+:func:`_read_blocks` checks the grammar with one compiled pattern, reads
+the labels with ``str.split`` and ``int``, and runs every other check on
+the int lists; the character offset of an error is found only once there
+is one.  Its blocks come by minimum, so their arcs, each block's read
+from its largest label down, are (left, -right) pairs in ascending
+order, which the crossing sweep and φ⁻¹ take unsorted, and which the one
+renderer, :func:`_block_text`, writes back as canonical text.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial
-from itertools import accumulate, chain, groupby
-from operator import index, itemgetter, neg
+from itertools import accumulate
+from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
@@ -364,14 +364,24 @@ _second = itemgetter(1)
 _new_arc = partial(tuple.__new__, Arc)  # an Arc from a pair, at C speed
 
 
-def _block_entries(p: LinkedPartition) -> list[tuple[int, int]]:
-    """The arcs plus an entry (v, -v) for each block minimum v, in one
-    sort: grouped by left end, each block's entries are its minimum's,
-    then its arcs by right end, and the blocks come by minimum.  The
-    minima are the vertices that send an arc or receive none."""
-    inner = set(map(_second, p.arcs)).difference(map(_first, p.arcs))
-    minima = set(range(1, p.n + 1)) - inner
-    return sorted(chain(p.arcs, zip(minima, map(neg, minima))))
+def _block_text(n: int, arcs: list[tuple[int, int]]) -> str:
+    """Canonical text of the ascending (left, -right) pairs ``arcs`` on
+    1..n: walking the vertices down, each takes its arcs off the end of
+    the list, or is a singleton if it receives none."""
+    receivers = set(map(_second, arcs))  # right ends, negated
+    blocks = []
+    i = len(arcs)
+    for v in range(n, 0, -1):
+        j = i
+        while i and arcs[i - 1][0] == v:
+            i -= 1
+        if i < j:
+            rights = [str(-b) for _, b in reversed(arcs[i:j])]
+            blocks.append("{%d,%s}" % (v, ",".join(rights)))
+        elif -v not in receivers:
+            blocks.append("{%d}" % v)
+    blocks.reverse()
+    return "".join(blocks)
 
 
 def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
@@ -381,10 +391,8 @@ def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
     arc-free vertices are singleton blocks.  Vertices that only receive
     an arc appear inside their sender's block.
     """
-    return tuple(
-        tuple(map(abs, map(_second, entries)))
-        for _, entries in groupby(_block_entries(p), _first)
-    )
+    blocks = render_partition(p)[1:-1].split("}{")
+    return tuple(tuple(map(int, block.split(","))) for block in blocks)
 
 
 def render_partition(p: LinkedPartition) -> str:
@@ -392,10 +400,7 @@ def render_partition(p: LinkedPartition) -> str:
     Each object renders once and keeps its text as ``_text``."""
     text = p.__dict__.get("_text")
     if text is None:
-        # a block minimum's entry carries its label negated, so in the
-        # joined labels "-1,3,4,-2" each minus sign opens a block
-        labels = map(_second, _block_entries(p))
-        text = "{" + ",".join(map(str, labels)).replace(",-", "}{")[1:] + "}"
+        text = _block_text(p.n, sorted([(a, -b) for a, b in p.arcs]))
         p.__dict__["_text"] = text  # frozen: bypass __setattr__
     return text
 
@@ -416,6 +421,14 @@ def parse_partition(text: str) -> LinkedPartition:
     rejected here; that is :func:`validate_ncl`'s job.  The first error
     in text order is reported, at its offset.
     """
+    n, _, incoming = _read_blocks(text)
+    arcs = frozenset(map(_new_arc, zip(incoming.values(), incoming)))
+    return _unchecked(LinkedPartition, n=n, arcs=arcs)
+
+
+def _read_blocks(text: str) -> tuple[int, list[list[int]], dict[int, int]]:
+    """:func:`parse_partition`'s reading and checks: n, the blocks sorted
+    by minimum, each ascending, and {right: left} of every arc."""
     stop = _BLOCK_TEXT.match(text).end()
     if stop < len(text) or not text.endswith("}"):
         raise _label_error(text, stop) or _syntax_error(text, stop)
@@ -428,25 +441,34 @@ def parse_partition(text: str) -> LinkedPartition:
     minima = set(map(_first, blocks))
     if min(minima) < 1 or sum(map(len, blocks)) < written + len(blocks):
         raise _label_error(text, stop)  # a label 0, or one repeated in its block
-    arcs = frozenset([_new_arc((block[0], v)) for block in blocks for v in block[1:]])
-    rights = set(map(_second, arcs))
-    vertices = rights | minima
+    incoming = {v: block[0] for block in blocks for v in block[1:]}
+    vertices = minima.union(incoming)
     n = max(vertices)
     if len(vertices) < n:
         missing = next(v for v, w in enumerate(sorted(vertices), 1) if v != w)
         raise PartitionError(f"vertex {missing} missing; blocks must cover 1..{n}")
+    blocks.sort()
     # the family is nearly disjoint exactly when no vertex is the minimum
     # of two blocks or a non-minimum (an arc's right end) of two, and no
     # singleton's vertex is a non-minimum elsewhere
     if (
         len(minima) < len(blocks)
-        or len(rights) < written
-        or not rights.isdisjoint(minima.difference(map(_first, arcs)))
+        or len(incoming) < written
+        or not minima.difference(incoming.values()).isdisjoint(incoming)
     ):
-        ordered = sorted(map(tuple, blocks))
+        ordered = list(map(tuple, blocks))
         first, second = _first_clash(ordered)
         raise NearlyDisjointViolation(ordered[first], ordered[second])
-    return _unchecked(LinkedPartition, n=n, arcs=arcs)
+    return n, blocks, incoming
+
+
+def _checked_text(text: str) -> tuple[int, list[tuple[int, int]], dict[int, int]]:
+    """n, then :func:`_checked_arcs`'s list and map, for block text: its
+    blocks come by minimum, so their arcs ascend as they are made."""
+    n, blocks, incoming = _read_blocks(text)
+    arcs = [(block[0], -v) for block in blocks for v in block[:0:-1]]
+    _check_crossings(arcs)
+    return n, arcs, incoming
 
 
 def _label_error(text: str, stop: int) -> ParseError | None:
@@ -548,10 +570,16 @@ def _checked_arcs(p: LinkedPartition) -> tuple[list[tuple[int, int]], dict[int, 
             if b in rights:
                 raise InDegree(b)
             rights.add(b)
+    arcs = sorted([(a, -b) for a, b in p.arcs])
+    _check_crossings(arcs)
+    return arcs, incoming
+
+
+def _check_crossings(arcs: list[tuple[int, int]]) -> None:
+    """Raise on the first crossing of the ascending (left, -right) pairs."""
     # sweep arcs by left endpoint, longest first: the arcs still open
     # over the current left endpoint are nested, innermost on top, so a
     # new arc crosses one of them exactly when it outlasts the top one
-    arcs = sorted([(a, -b) for a, b in p.arcs])
     open_arcs: list[tuple[int, int]] = []
     for a, b in arcs:  # b is minus the right end
         while open_arcs and -open_arcs[-1][1] <= a:
@@ -560,7 +588,6 @@ def _checked_arcs(p: LinkedPartition) -> tuple[list[tuple[int, int]], dict[int, 
             c, d = open_arcs[-1]
             raise CrossingArcs(Arc(c, -d), Arc(a, -b))
         open_arcs.append((a, b))
-    return arcs, incoming
 
 
 def validate_ncl_blockwise(p: LinkedPartition) -> LinkedPartition:

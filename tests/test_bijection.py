@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import motzkin_ncl.bijection
 import motzkin_ncl.decompose
@@ -29,13 +29,16 @@ from motzkin_ncl import (
     render_partition,
     validate_large,
 )
+from motzkin_ncl.bijection import _phi_arcs
 from motzkin_ncl.structures import (
     AxisL3,
     LargeMotzkinPath,
     NegativeHeight,
     NonzeroFinalHeight,
+    _block_text,
     _unchecked,
 )
+from test_structures import _joined_blocks_text, block_texts
 
 # every base case and one representative of each elevated case
 KNOWN_PAIRS = [
@@ -220,6 +223,69 @@ class TestInverse:
         monkeypatch.setattr(LinkedPartition, "__init__", checked)
         assert partition_to_path(q).text == word
         assert built == [LargeMotzkinPath]
+
+    @pytest.mark.parametrize(
+        "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
+    )
+    def test_text_sorts_each_block_and_builds_only_the_path(self, word, monkeypatch):
+        # the text twin of the two tests above: block text lists its arcs
+        # in the order φ⁻¹ cuts them, so the only sorts are the reader's,
+        # one per block, and no partition is built on the way
+        text = render_partition(path_to_partition(word))
+        calls = []
+
+        def counting(*args, **kwargs):
+            items = sorted(*args, **kwargs)
+            calls.append(len(items))
+            return items
+
+        modules = (motzkin_ncl.structures, motzkin_ncl.bijection, motzkin_ncl.decompose)
+        for module in modules:
+            monkeypatch.setattr(module, "sorted", counting, raising=False)
+        built = watch_builds(monkeypatch)
+        assert partition_to_path(text).text == word
+        assert built == [LargeMotzkinPath]
+        # one sort per block, of its labels: no list of arcs is sorted
+        assert calls == [block.count(",") + 1 for block in text[1:-1].split("}{")]
+
+    @given(block_texts())
+    @example("{11,12}{9}{10,8,11}{5,7,6}{13,04}{2}{4,3,1}")
+    def test_text_reads_as_its_parsed_partition(self, text):
+        # the same word, or the same error class and message, whether φ⁻¹
+        # reads the text or the partition parsed from it
+        def outcome(read):
+            try:
+                return read().text
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: partition_to_path(text)) == outcome(
+            lambda: partition_to_path(parse_partition(text))
+        )
+
+
+def watch_builds(monkeypatch) -> list[type]:
+    """Watch every builder of the package, checked or not, and return the
+    list of the classes built from here on."""
+    built = []
+    unchecked = motzkin_ncl.structures._unchecked
+
+    def counting(cls, **fields):
+        built.append(cls)
+        return unchecked(cls, **fields)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("motzkin_ncl."):
+            if getattr(module, "_unchecked", None) is unchecked:
+                monkeypatch.setattr(module, "_unchecked", counting)
+    init = LinkedPartition.__init__
+
+    def checked(self, *args, **kwargs):
+        built.append(LinkedPartition)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkedPartition, "__init__", checked)
+    return built
 
 
 TOO_DEEP = "input nests too deeply for the recursive maps"
@@ -533,6 +599,26 @@ class TestOracle:
         for k in range(125, 301, 5):
             for word in ("U" * k + "x" * k, "U" * k + "b" * k + "y" * k):
                 assert path_to_partition(word) == _word_partition(word), word
+
+
+def _check_phi_arcs(word: str) -> None:
+    pairs = _phi_arcs(word)
+    assert all(x < y for x, y in zip(pairs, pairs[1:])), word
+    p = LinkedPartition(len(word) + 1, [(a, -b) for a, b in pairs])
+    assert _block_text(len(word) + 1, pairs) == _joined_blocks_text(p), word
+
+
+class TestPhiArcs:
+    # φ lays its (left, -right) pairs out strictly ascending, so map --phi
+    # writes them as block text with no sort, as the vertex-loop oracle does
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_path_up_to_length_8(self, n):
+        for path in gen_large(n):
+            _check_phi_arcs(path.text)
+
+    def test_deep_and_chain_shapes(self):
+        for word in _shape_words():
+            _check_phi_arcs(word)
 
 
 def _counted(base, work):

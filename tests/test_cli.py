@@ -9,9 +9,18 @@ from math import comb
 import pytest
 
 import motzkin_ncl.enumerate
-from motzkin_ncl import cli, large_motzkin_numbers, schroder_numbers, validate_large
+from motzkin_ncl import (
+    cli,
+    gen_large,
+    large_motzkin_numbers,
+    path_to_partition,
+    render_partition,
+    schroder_numbers,
+    validate_large,
+)
 from motzkin_ncl.cli import main
 from motzkin_ncl.counting import IdentityCheck, IdentityReport
+from test_bijection import watch_builds
 
 
 def run(capsys, *argv):
@@ -222,6 +231,19 @@ class TestMap:
         code, out, _ = run(capsys, "map", "--phi")
         assert code == 0
         assert out == "{1,2,3}\n{1,3}{2}\n{1}\n"
+
+    @pytest.mark.parametrize("flag", ["--phi", "--phi-inv"])
+    def test_stdin_builds_no_partition(self, capsys, monkeypatch, flag):
+        # both directions go from text to text: neither builds a partition,
+        # checked or not, nor a path through the unchecked builder
+        words = [p.text for p in gen_large(5)]
+        images = [render_partition(path_to_partition(w)) for w in words]
+        lines, want = (words, images) if flag == "--phi" else (images, words)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(x + "\n" for x in lines)))
+        built = watch_builds(monkeypatch)
+        code, out, _ = run(capsys, "map", flag)
+        assert (code, out) == (0, "".join(x + "\n" for x in want))
+        assert built == []
 
     def test_double_flag(self, capsys):
         code, out, _ = run(capsys, "map", "--double", "1", "c")
