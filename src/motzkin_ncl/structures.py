@@ -232,8 +232,8 @@ class LargeMotzkinPath(MotzkinPath):
 def _walk_heights(
     text: str,
     delta: dict[str, int],
-    barred: str | None = None,
-    axis_error: type[PathError] | None = None,
+    barred: str | None,
+    axis_error: type[PathError] | None,
 ) -> None:
     """Check that a word over ``delta``'s letters stays weakly above the
     axis, ends on it, and never takes ``barred`` on it (``axis_error``)."""
@@ -302,7 +302,7 @@ class SchroderPath(_Frozen):
     @property
     def half_length(self) -> int:
         """n for a path from (0,0) to (2n,0)."""
-        return sum(1 for c in self.text if c != "D")
+        return len(self.text) - self.text.count("D")
 
 
 def validate_schroder(word: str | SchroderPath, variant: str = "large") -> SchroderPath:
@@ -625,6 +625,9 @@ def _blocks_cross(block_a: tuple[int, ...], block_b: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 # ASCII diagrams
 
+# a path step's glyph: U draws /, x and y draw \, a level step its color
+_PATH_GLYPHS = bytes.maketrans(b"Uxy", b"/\\\\")
+
 
 def render_ascii(obj: MotzkinPath | LinkedPartition) -> str:
     """Deterministic text diagram of a path or a partition."""
@@ -645,21 +648,17 @@ def _path_rows(path: MotzkinPath) -> Iterator[str]:
     """Mountain diagram: slopes as ``/`` and ``\\``, levels as their color
     letter at their height, with a dashed axis line."""
     text = path.text
-    if not text:
-        yield ""
-        return
     heights = path.heights()
-    top = max([0, *heights])
-    grid = {}
-    # a step's glyph sits in the row of its higher end
+    glyphs = text.encode().translate(_PATH_GLYPHS)
+    # a step's glyph sits in the row of its higher end: file its column there
+    marks: list[list[int]] = [[] for _ in range(max(heights, default=0) + 1)]
     for i, (ch, h) in enumerate(zip(text, heights)):
-        if ch in "xy":
-            grid[(h + 1, i)] = "\\"
-        else:
-            grid[(h, i)] = "/" if ch == "U" else ch
-    for level in range(top, 0, -1):
-        yield "".join(grid.get((level, i), " ") for i in range(len(text))).rstrip()
-    yield "".join(grid.get((0, i), "-") for i in range(len(text)))
+        marks[h + 1 if ch in "xy" else h].append(i)
+    for level in range(len(marks) - 1, -1, -1):
+        row = bytearray(b" " if level else b"-") * len(text)
+        for i in marks[level]:
+            row[i] = glyphs[i]
+        yield row.rstrip().decode()
 
 
 def _partition_rows(p: LinkedPartition) -> Iterator[str]:
@@ -669,40 +668,35 @@ def _partition_rows(p: LinkedPartition) -> Iterator[str]:
     ``.--.`` caps with ``|`` uprights running down to its endpoints.
     """
     labels = [str(v) for v in range(1, p.n + 1)]
-    pos = []
-    col = 0
-    for lab in labels:
-        pos.append(col)
-        col += len(lab) + 1
-    if p.arcs:
-        # an arc's depth is the number of arcs containing it; taken
-        # longest first by left endpoint, those are the earlier arcs that
-        # end no sooner, counted by a Fenwick tree over right endpoints
-        ends = [0] * (p.n + 1)
-        rows: list[list[tuple[int, int]]] = []
-        for seen, (left, right) in enumerate(sorted([(a, -b) for a, b in p.arcs])):
-            right = -right
-            shorter = 0
-            i = right - 1
-            while i:
-                shorter += ends[i]
-                i &= i - 1
-            depth = seen - shorter
-            rows.extend([] for _ in range(depth + 1 - len(rows)))
-            rows[depth].append((left, right))
-            i = right
-            while i <= p.n:
-                ends[i] += 1
-                i += i & -i
-        # each row copies the uprights of the arcs above it, then writes
-        # its caps over them in (left, -right) order, so later caps win
-        uprights = bytearray(b" " * (col - 1))
-        for arcs in rows:
-            row = uprights[:]
-            for left, right in arcs:
-                lo, hi = pos[left - 1], pos[right - 1]
-                row[lo : hi + 1] = b"." + b"-" * (hi - lo - 1) + b"."
-            yield row.rstrip().decode()
-            for left, right in arcs:
-                uprights[pos[left - 1]] = uprights[pos[right - 1]] = ord("|")
+    *pos, width = accumulate((len(lab) + 1 for lab in labels), initial=0)
+    # an arc's depth is the number of arcs containing it; taken longest
+    # first by left endpoint, those are the earlier arcs that end no
+    # sooner, counted by a Fenwick tree over right endpoints
+    ends = [0] * (p.n + 1)
+    rows: list[list[tuple[int, int]]] = []
+    for seen, (left, right) in enumerate(sorted([(a, -b) for a, b in p.arcs])):
+        right = -right
+        shorter = 0
+        i = right - 1
+        while i:
+            shorter += ends[i]
+            i &= i - 1
+        depth = seen - shorter
+        rows.extend([] for _ in range(depth + 1 - len(rows)))
+        rows[depth].append((left, right))
+        i = right
+        while i <= p.n:
+            ends[i] += 1
+            i += i & -i
+    # each row copies the uprights of the arcs above it, then writes its
+    # caps over them in (left, -right) order, so later caps win
+    uprights = bytearray(b" " * (width - 1))
+    for arcs in rows:
+        row = uprights[:]
+        for left, right in arcs:
+            lo, hi = pos[left - 1], pos[right - 1]
+            row[lo : hi + 1] = b"." + b"-" * (hi - lo - 1) + b"."
+        yield row.rstrip().decode()
+        for left, right in arcs:
+            uprights[pos[left - 1]] = uprights[pos[right - 1]] = ord("|")
     yield " ".join(labels)

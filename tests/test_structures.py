@@ -36,6 +36,7 @@ from motzkin_ncl import (
     verify_identities,
 )
 from motzkin_ncl.structures import _nearly_disjoint, ascii_rows
+from test_properties import motzkin_words
 
 # labels past int()'s digit limit exist from Python 3.11 on
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -625,6 +626,50 @@ class TestRenderAscii:
         assert render_ascii(LinkedPartition(4, [(1, 3), (2, 4)])) == ".-.---.\n1 2 3 4"
         art = render_ascii(LinkedPartition(6, [(1, 4), (2, 5), (3, 6), (2, 3)]))
         assert art == ".-.-.-----.\n| | | | | |\n| .-. | | |\n1 2 3 4 5 6"
+
+
+def _grid_path_art(word: str) -> str:
+    """An independent mountain-diagram oracle: each step's glyph stored in
+    a dict under (level, column), then read back cell by cell over the
+    height x length grid, blanks as spaces above the axis and dashes on
+    it."""
+    heights = list(itertools.accumulate({"U": 1, "x": -1, "y": -1}.get(ch, 0) for ch in word))
+    grid = {}
+    for i, (ch, h) in enumerate(zip(word, heights)):
+        if ch in "xy":
+            grid[(h + 1, i)] = "\\"
+        else:
+            grid[(h, i)] = "/" if ch == "U" else ch
+    rows = [
+        "".join(grid.get((level, i), " ") for i in range(len(word))).rstrip()
+        for level in range(max([0, *heights]), 0, -1)
+    ]
+    rows.append("".join(grid.get((0, i), "-") for i in range(len(word))))
+    return "\n".join(rows)
+
+
+class TestPathRenderOracle:
+    @given(motzkin_words(max_len=40, large=False))
+    def test_rows_match_the_grid_oracle(self, word):
+        # plain words: render --path takes c on the axis too
+        assert render_ascii(validate_motzkin(word)) == _grid_path_art(word)
+
+    @pytest.mark.parametrize("k", [1, 40, 300])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda k: "U" * k + "x" * k,
+            lambda k: "U" * k + "b" * k + "y" * k,
+            lambda k: "Ucx" * k,
+            lambda k: "U" + "ac" * k + "x",
+        ],
+        ids=["nest", "b-nest", "axis-chain", "level-chain"],
+    )
+    def test_deep_and_chain_shapes(self, shape, k):
+        word = shape(k)
+        # row lists, so that a failure names its first differing row fast
+        art = render_ascii(validate_motzkin(word))
+        assert art.split("\n") == _grid_path_art(word).split("\n")
 
 
 def _grid_partition_art(p: LinkedPartition) -> str:
