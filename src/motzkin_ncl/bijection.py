@@ -155,7 +155,7 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         text = _path_text(*_checked_text(p))
     else:
-        text = _path_text(p.n, *_checked_arcs(p))
+        text = _path_text(p.n, *_checked_arcs(p)[:2])
     return _unchecked(LargeMotzkinPath, text=text)
 
 

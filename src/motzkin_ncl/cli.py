@@ -2,8 +2,9 @@
 
 Subcommands: ``count`` prints counting sequences, ``enumerate`` streams
 whole families, ``map`` applies the correspondences to objects (from an
-argument or stdin, one per line), ``render`` draws ASCII diagrams, and
-``verify`` replays the property suites end to end.
+argument or stdin, one per line), ``render`` draws ASCII diagrams (of
+an argument, or of all of stdin for ``-``), and ``verify`` replays the
+property suites end to end.
 
 Exit codes: 0 on success, 1 on domain errors or failed verification,
 2 on usage errors.  Handlers raise ``ValueError``; only ``main`` reports it.
@@ -39,7 +40,9 @@ from .structures import (
     Arc,
     LinkedPartition,
     _block_text,
+    _checked_arcs,
     _checked_text,
+    _partition_rows,
     ascii_rows,
     parse_partition,
     render_ascii,
@@ -91,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="draw an ASCII diagram")
     what = render.add_mutually_exclusive_group(required=True)
-    what.add_argument("--path", metavar="WORD")
-    what.add_argument("--partition", metavar="BLOCKS")
+    what.add_argument("--path", metavar="WORD", help="a word; - reads stdin")
+    what.add_argument("--partition", metavar="BLOCKS", help="block text; - reads stdin")
     render.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     verify = sub.add_parser("verify", help="run the property suites")
@@ -227,17 +230,26 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.path is not None:
-        obj = validate_motzkin(args.path)
-        kind, n = "path", len(obj)
+        obj = validate_motzkin(_object_text(args.path))
+        kind, n, rows = "path", len(obj), ascii_rows(obj)
     else:
-        obj = validate_ncl(parse_partition(args.partition))
-        kind, n = "partition", obj.n
+        obj = parse_partition(_object_text(args.partition))
+        # validate_ncl's checks; their sorted pairs and sweep depths draw it
+        arcs, depths = _checked_arcs(obj)[::2]
+        kind, n, rows = "partition", obj.n, _partition_rows(obj.n, arcs, depths)
     if args.format == "jsonl":
         print(_jsonl(kind, n, render_ascii(obj)))
     else:
         # a deep diagram runs to megabytes; write each row once it is made
-        sys.stdout.writelines(row + "\n" for row in ascii_rows(obj))
+        sys.stdout.writelines(row + "\n" for row in rows)
     return 0
+
+
+def _object_text(arg: str) -> str:
+    """``arg``, or for ``-`` all of stdin less the line end ``map`` drops."""
+    if arg != "-":
+        return arg
+    return sys.stdin.read().removesuffix("\n").removesuffix("\r")
 
 
 # ---------------------------------------------------------------------------

@@ -559,9 +559,12 @@ def validate_ncl(p: LinkedPartition) -> LinkedPartition:
     return p
 
 
-def _checked_arcs(p: LinkedPartition) -> tuple[list[tuple[int, int]], dict[int, int]]:
+def _checked_arcs(
+    p: LinkedPartition,
+) -> tuple[list[tuple[int, int]], dict[int, int], list[int]]:
     """:func:`validate_ncl`'s checks, returning the sorted (left, -right) arc
-    pairs, each vertex's longest first, and {right: left} of every arc."""
+    pairs, each vertex's longest first, {right: left} of every arc, and
+    each pair's nesting depth."""
     incoming = {b: a for a, b in p.arcs}
     if len(incoming) < len(p.arcs):
         # name the first right end that repeats, in sorted arc order
@@ -571,23 +574,27 @@ def _checked_arcs(p: LinkedPartition) -> tuple[list[tuple[int, int]], dict[int, 
                 raise InDegree(b)
             rights.add(b)
     arcs = sorted([(a, -b) for a, b in p.arcs])
-    _check_crossings(arcs)
-    return arcs, incoming
+    return arcs, incoming, _check_crossings(arcs)
 
 
-def _check_crossings(arcs: list[tuple[int, int]]) -> None:
-    """Raise on the first crossing of the ascending (left, -right) pairs."""
+def _check_crossings(arcs: list[tuple[int, int]]) -> list[int]:
+    """Raise on the first crossing of the ascending (left, -right) pairs;
+    else return each pair's count of the arcs still open over it."""
     # sweep arcs by left endpoint, longest first: the arcs still open
     # over the current left endpoint are nested, innermost on top, so a
-    # new arc crosses one of them exactly when it outlasts the top one
+    # new arc crosses one of them exactly when it outlasts the top one,
+    # and when none does, those open arcs are the ones that contain it
     open_arcs: list[tuple[int, int]] = []
+    depths: list[int] = []
     for a, b in arcs:  # b is minus the right end
         while open_arcs and -open_arcs[-1][1] <= a:
             open_arcs.pop()
         if open_arcs and open_arcs[-1][1] > b:
             c, d = open_arcs[-1]
             raise CrossingArcs(Arc(c, -d), Arc(a, -b))
+        depths.append(len(open_arcs))
         open_arcs.append((a, b))
+    return depths
 
 
 def validate_ncl_blockwise(p: LinkedPartition) -> LinkedPartition:
@@ -640,7 +647,12 @@ def ascii_rows(obj: MotzkinPath | LinkedPartition) -> Iterator[str]:
     if isinstance(obj, MotzkinPath):
         return _path_rows(obj)
     if isinstance(obj, LinkedPartition):
-        return _partition_rows(obj)
+        arcs = sorted([(a, -b) for a, b in obj.arcs])
+        try:
+            depths = _check_crossings(arcs)
+        except CrossingArcs:  # only a caller's own arc set can cross
+            depths = _containment_depths(obj.n, arcs)
+        return _partition_rows(obj.n, arcs, depths)
     raise TypeError(f"cannot draw {type(obj).__name__}")
 
 
@@ -661,42 +673,46 @@ def _path_rows(path: MotzkinPath) -> Iterator[str]:
         yield row.rstrip().decode()
 
 
-def _partition_rows(p: LinkedPartition) -> Iterator[str]:
-    """Arc diagram above a row of vertex labels.
-
-    Each arc gets a row by nesting depth (outermost on top), drawn as
-    ``.--.`` caps with ``|`` uprights running down to its endpoints.
-    """
-    labels = [str(v) for v in range(1, p.n + 1)]
-    *pos, width = accumulate((len(lab) + 1 for lab in labels), initial=0)
-    # an arc's depth is the number of arcs containing it; taken longest
-    # first by left endpoint, those are the earlier arcs that end no
-    # sooner, counted by a Fenwick tree over right endpoints
-    ends = [0] * (p.n + 1)
-    rows: list[list[tuple[int, int]]] = []
-    for seen, (left, right) in enumerate(sorted([(a, -b) for a, b in p.arcs])):
-        right = -right
+def _containment_depths(n: int, arcs: list[tuple[int, int]]) -> list[int]:
+    """Each of the ascending (left, -right) pairs' count of the arcs that
+    contain it, crossing ones among them: the earlier pairs that end no
+    sooner, counted by a Fenwick tree over right ends."""
+    ends = [0] * (n + 1)
+    depths = []
+    for seen, (_, right) in enumerate(arcs):
         shorter = 0
-        i = right - 1
+        i = -right - 1
         while i:
             shorter += ends[i]
             i &= i - 1
-        depth = seen - shorter
-        rows.extend([] for _ in range(depth + 1 - len(rows)))
-        rows[depth].append((left, right))
-        i = right
-        while i <= p.n:
+        depths.append(seen - shorter)
+        i = -right
+        while i <= n:
             ends[i] += 1
             i += i & -i
+    return depths
+
+
+def _partition_rows(
+    n: int, arcs: list[tuple[int, int]], depths: list[int]
+) -> Iterator[str]:
+    """Arc diagram of the ascending (left, -right) pairs ``arcs`` on 1..n
+    above a row of vertex labels: each arc gets the row of its nesting
+    depth in ``depths`` (outermost on top), drawn as a ``.--.`` cap with
+    ``|`` uprights running down to its endpoints."""
+    labels = [str(v) for v in range(1, n + 1)]
+    *pos, width = accumulate((len(lab) + 1 for lab in labels), initial=0)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(max(depths, default=-1) + 1)]
+    for (left, right), depth in zip(arcs, depths):
+        rows[depth].append((pos[left - 1], pos[-right - 1]))
     # each row copies the uprights of the arcs above it, then writes its
     # caps over them in (left, -right) order, so later caps win
     uprights = bytearray(b" " * (width - 1))
-    for arcs in rows:
+    for caps in rows:
         row = uprights[:]
-        for left, right in arcs:
-            lo, hi = pos[left - 1], pos[right - 1]
+        for lo, hi in caps:
             row[lo : hi + 1] = b"." + b"-" * (hi - lo - 1) + b"."
         yield row.rstrip().decode()
-        for left, right in arcs:
-            uprights[pos[left - 1]] = uprights[pos[right - 1]] = ord("|")
+        for lo, hi in caps:
+            uprights[lo] = uprights[hi] = ord("|")
     yield " ".join(labels)

@@ -3,24 +3,32 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from math import comb
 
 import pytest
+from hypothesis import given
 
 import motzkin_ncl.enumerate
+import motzkin_ncl.structures
 from motzkin_ncl import (
+    LinkedPartition,
     cli,
     gen_large,
+    gen_ncl,
     large_motzkin_numbers,
+    parse_partition,
     path_to_partition,
     render_partition,
     schroder_numbers,
     validate_large,
+    validate_ncl,
 )
 from motzkin_ncl.cli import main
 from motzkin_ncl.counting import IdentityCheck, IdentityReport
 from test_bijection import watch_builds
+from test_structures import _grid_partition_art, block_texts
 
 
 def run(capsys, *argv):
@@ -389,6 +397,131 @@ class TestRender:
     def test_crossing_partition_rejected(self, capsys):
         code, _, err = run(capsys, "render", "--partition", "{1,3}{2,4}")
         assert code == 1 and "cross" in err
+
+    @pytest.mark.parametrize(
+        "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
+    )
+    def test_sorts_and_sweeps_the_arcs_once(self, capsys, monkeypatch, word):
+        # the diagram is drawn from the pairs that validation sorted, at
+        # the depths its crossing sweep counted; the reader's one object
+        # is the only one built
+        p = path_to_partition(word)
+        text = render_partition(p)
+        sorts, sweeps = [], []
+
+        def counting_sort(items, *args, **kwargs):
+            sorts.append((type(items), len(items)))
+            return sorted(items, *args, **kwargs)
+
+        for module in (motzkin_ncl.structures, cli):
+            monkeypatch.setattr(module, "sorted", counting_sort, raising=False)
+        sweep = motzkin_ncl.structures._check_crossings
+
+        def counting_sweep(arcs):
+            sweeps.append(len(arcs))
+            return sweep(arcs)
+
+        monkeypatch.setattr(motzkin_ncl.structures, "_check_crossings", counting_sweep)
+        built = watch_builds(monkeypatch)
+        code, out, err = run(capsys, "render", "--partition", text)
+        assert (code, err) == (0, "")
+        assert out == _grid_partition_art(p) + "\n"
+        # besides the reader's sort of each block's label set
+        assert [size for kind, size in sorts if kind is not set] == [len(p.arcs)]
+        assert sum(kind is set for kind, _ in sorts) == text.count("{")
+        assert sweeps == [len(p.arcs)]
+        assert built == [LinkedPartition]
+
+
+def _captured(*argv):
+    """main(argv)'s exit code, stdout and stderr, without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _oracle_render(text: str, fmt: str):
+    """What ``render --partition text`` must print: the grid oracle's
+    diagram of the validated parse, or the error the validation names."""
+    try:
+        p = validate_ncl(parse_partition(text))
+    except ValueError as exc:
+        return 1, "", f"{exc}\n"
+    art = _grid_partition_art(p)
+    if fmt == "jsonl":
+        record = {"kind": "partition", "n": p.n, "text": art}
+        return 0, json.dumps(record, separators=(",", ":")) + "\n", ""
+    return 0, art + "\n", ""
+
+
+class TestRenderPartitionOracle:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_small_partition(self, n):
+        for q in gen_ncl(n):
+            text = render_partition(q)
+            for fmt in ("text", "jsonl"):
+                outcome = _captured("render", "--partition", text, "--format", fmt)
+                assert outcome == _oracle_render(text, fmt), (text, fmt)
+
+    @given(block_texts())
+    def test_block_texts(self, text):
+        # invalid texts included: the error line and exit code 1
+        for fmt in ("text", "jsonl"):
+            outcome = _captured("render", "--partition", text, "--format", fmt)
+            assert outcome == _oracle_render(text, fmt)
+
+
+class TestRenderStdin:
+    """``-`` reads the object from all of stdin, as one text."""
+
+    def test_partition_from_stdin(self, capsys, monkeypatch):
+        text = "{1,4,8}{2,3}{5,6}{6,7}{8,9}"
+        want = run(capsys, "render", "--partition", text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+        assert run(capsys, "render", "--partition", "-") == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n", "\r"])
+    def test_path_from_stdin_drops_one_line_end(self, capsys, monkeypatch, end):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Ux" + end))
+        assert run(capsys, "render", "--path", "-") == (0, "/\\\n--\n", "")
+
+    def test_only_one_line_end_is_dropped(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Ux\n\n"))
+        code, out, err = run(capsys, "render", "--path", "-")
+        assert (code, out) == (1, "")
+        assert err == "unknown step character '\\n' (offset 2)\n"
+
+    def test_error_offset_is_the_offset_in_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{1,2}{3,}\n"))
+        code, out, err = run(capsys, "render", "--partition", "-")
+        assert (code, out, err) == (1, "", "expected a vertex label (offset 8)\n")
+
+    def test_crossing_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{1,4}{2,5}{3}\n"))
+        code, out, err = run(capsys, "render", "--partition", "-")
+        assert (code, out, err) == (1, "", "arcs (1, 4) and (2, 5) cross\n")
+
+    def test_jsonl_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{1,3}{2}\n"))
+        code, out, _ = run(capsys, "render", "--partition", "-", "--format", "jsonl")
+        assert code == 0
+        assert out == '{"kind":"partition","n":3,"text":".---.\\n1 2 3"}\n'
+
+    def test_objects_past_the_argument_limit(self, capsys, monkeypatch):
+        # Linux refuses one argument of 131,072 bytes or more; stdin has
+        # no such limit
+        k = 43691
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Ucx" * k + "\n"))
+        code, out, _ = run(capsys, "render", "--path", "-")
+        assert (code, out) == (0, "/c\\" * k + "\n" + "-" * 3 * k + "\n")
+        text = render_partition(path_to_partition("Ucx" * 5000))
+        assert len(text) > 131072
+        want = run(capsys, "render", "--partition", text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+        assert run(capsys, "render", "--partition", "-") == want
+        assert want[1].endswith(" ".join(map(str, range(1, 15002))) + "\n")
 
 
 # one injected fault per suite: the suite, the name in cli it replaces,

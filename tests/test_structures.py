@@ -23,6 +23,7 @@ from motzkin_ncl import (
     PartitionError,
     SchroderPath,
     blocks_of,
+    gen_ncl,
     ncl_counts,
     parse_partition,
     path_to_partition,
@@ -35,7 +36,7 @@ from motzkin_ncl import (
     validate_schroder,
     verify_identities,
 )
-from motzkin_ncl.structures import _nearly_disjoint, ascii_rows
+from motzkin_ncl.structures import _check_crossings, _nearly_disjoint, ascii_rows
 from test_properties import motzkin_words
 
 # labels past int()'s digit limit exist from Python 3.11 on
@@ -785,6 +786,33 @@ class TestRenderOracle:
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError):
             ascii_rows("Ux")
+
+
+def _sweep_and_pairwise_depths(p: LinkedPartition) -> tuple[list[int], list[int]]:
+    """The crossing sweep's depths of ``p``'s arcs, and each arc's count of
+    the other arcs that contain it, by a pairwise scan."""
+    pairs = sorted((a, -b) for a, b in p.arcs)
+    arcs = [(a, -b) for a, b in pairs]
+    pairwise = [sum(c <= a and b <= d for c, d in arcs) - 1 for a, b in arcs]
+    return _check_crossings(pairs), pairwise
+
+
+class TestSweepDepths:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_small_partition(self, n):
+        for p in gen_ncl(n):
+            sweep, pairwise = _sweep_and_pairwise_depths(p)
+            assert sweep == pairwise, render_partition(p)
+
+    @pytest.mark.parametrize("k", [1, 40, 300])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda k: "U" * k + "x" * k, lambda k: "Ucx" * k],
+        ids=["nest", "chain"],
+    )
+    def test_deep_and_chain_images(self, shape, k):
+        sweep, pairwise = _sweep_and_pairwise_depths(path_to_partition(shape(k)))
+        assert sweep == pairwise
 
 
 class TestBlockOracle:
