@@ -7,8 +7,8 @@ recurses on index ranges of the one word, jumping from piece to piece,
 and lays its arcs out as ascending (left, -right) pairs, so it runs in
 linear time and sorts no arc; input nested past the recursion limit
 raises ValueError.  The inverse reads such a list, each vertex's longest
-arc first, as validation sorts a partition's arcs or as block text lists
-them, off one work stack of vertex ranges in the partition's own vertex
+arc first, as a partition stores its arcs or as block text lists them,
+off one work stack of vertex ranges in the partition's own vertex
 numbers, each with its level h, and writes the letter that starts at
 vertex v at index v - 1 + h: the rule the forward map lays its arcs out
 by, where the step at index t, at height h, starts at vertex t + 1 - h.
@@ -57,7 +57,6 @@ from .structures import (
     LinkedPartition,
     _checked_arcs,
     _checked_text,
-    _new_arc,
     _unchecked,
     validate_large,
 )
@@ -86,8 +85,7 @@ class CaseTag(Enum):
 def path_to_partition(path: LargeMotzkinPath | str) -> LinkedPartition:
     """Map a large path of length n to its partition of {1..n+1}."""
     word = validate_large(path).text
-    arcs = frozenset([_new_arc((a, -b)) for a, b in _phi_arcs(word)])
-    return _unchecked(LinkedPartition, n=len(word) + 1, arcs=arcs)
+    return _unchecked(LinkedPartition, n=len(word) + 1, _pairs=tuple(_phi_arcs(word)))
 
 
 def _phi_arcs(word: str) -> list[tuple[int, int]]:

@@ -50,7 +50,6 @@ from functools import cache
 from typing import Iterator
 
 from .structures import (
-    Arc,
     LargeMotzkinPath,
     LinkedPartition,
     MotzkinPath,
@@ -172,7 +171,7 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
         ))
 
     tokens: list[str] = []
-    arcs: list[Arc] = []
+    arcs: list[tuple[int, int]] = []  # (left, -right) pairs, in text order
     # a frame: the steps left to try, the open block's minimum, the bound
     # its elements stay below, and the bitmask of the taken vertices
     stack = [(iter(opening_steps(1, False)), 0, n + 1, 0)]
@@ -190,7 +189,7 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
         if token[0] == "{":
             v = w
         else:
-            arcs.append(Arc(v, w))
+            arcs.append((v, -w))
             taken |= 1 << w
         tokens.append(token)
         if not closes:
@@ -200,7 +199,8 @@ def gen_ncl(n: int) -> Iterator[LinkedPartition]:
         u = v + (free & -free).bit_length()  # the first untaken vertex after v
         if u > n:
             text = "".join(tokens)
-            yield _unchecked(LinkedPartition, n=n, arcs=frozenset(arcs), _text=text)
+            pairs = tuple(sorted(arcs))
+            yield _unchecked(LinkedPartition, n=n, _pairs=pairs, _text=text)
             stack.append((iter(()), v, bound, taken))  # pops the last token
             continue
         above = taken >> (u + 1)  # the first taken vertex after u bounds u's block

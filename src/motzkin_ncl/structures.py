@@ -32,10 +32,11 @@ writes its fields into ``__dict__``, and their base :class:`_Frozen`
 refuses to set or delete one.  Path constructors check the alphabet and
 then the heights, so a path object is proof of its validity.  The public
 :class:`LinkedPartition` constructor takes integer vertices only,
-normalises its arcs to :class:`Arc` and checks their bounds only, so
-that the validators can still see invalid arc sets.  Producers whose
-output is valid (a path) or in range (a partition) by construction skip
-those steps through the one private :func:`_unchecked`.
+stores its arcs as the ascending (left, -right) pairs and checks their
+bounds only, so that the validators can still see invalid arc sets.
+Producers whose output is valid (a path) or canonical and in range (a
+partition) by construction skip those steps through the one private
+:func:`_unchecked`.
 
 A partition's text lists its blocks, such as ``{1,3,4}{2}``.
 :func:`_read_blocks` checks the grammar with one compiled pattern, reads
@@ -43,8 +44,9 @@ the labels with ``str.split`` and ``int``, and runs every other check on
 the int lists; the character offset of an error is found only once there
 is one.  Its blocks come by minimum, so their arcs, each block's read
 from its largest label down, are (left, -right) pairs in ascending
-order, which the crossing sweep and φ⁻¹ take unsorted, and which the one
-renderer, :func:`_block_text`, writes back as canonical text.
+order: a partition's stored form, which the crossing sweep, φ⁻¹ and the
+diagram take unsorted, and which the one renderer, :func:`_block_text`,
+writes back as canonical text.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import sys
 from functools import partial
 from itertools import accumulate
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 _DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 _PATH_ALPHABET = frozenset(_DELTA)
@@ -178,7 +180,7 @@ class _Frozen:
 def _unchecked(cls, **fields):
     """An object of ``cls`` built from ``fields`` with no check or
     normalisation; only for producers whose output is valid by
-    construction (a partition: a frozenset of in-range :class:`Arc`)."""
+    construction (a partition: n and its canonical, in-range ``_pairs``)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # frozen: bypass __setattr__
     return obj
@@ -328,11 +330,12 @@ class LinkedPartition(_Frozen):
     """An arc diagram on the vertices 1..n.
 
     The public constructor accepts any iterable of (left, right) pairs,
-    normalises it to a frozenset of :class:`Arc` and enforces the bounds
-    1 <= left < right <= n.  The partition predicates (in-degree,
-    noncrossing) are the validators' job, so invalid arc sets still
-    build.  Producers whose arcs are in range by construction hand a
-    frozenset of :class:`Arc` to :func:`_unchecked` instead.
+    enforces 1 <= left < right <= n and stores them as ``_pairs``, the
+    ascending, duplicate-free tuple of (left, -right) pairs that every
+    algorithm here reads and ``arcs`` views.  The partition predicates
+    (in-degree, noncrossing) are the validators' job, so invalid arc
+    sets still build.  Producers whose pairs are canonical and in range
+    by construction hand them to :func:`_unchecked` instead.
     """
 
     _fields = ("n", "arcs")
@@ -341,14 +344,23 @@ class LinkedPartition(_Frozen):
         n = _vertex(n)
         if n < 1:
             raise PartitionError("a partition needs at least one vertex")
-        arcs = frozenset(Arc(_vertex(a), _vertex(b)) for a, b in arcs)
-        for arc in arcs:
-            if not (1 <= arc.left < arc.right <= n):
-                raise PartitionError(f"arc {tuple(arc)} out of range for n={n}")
-        self.__dict__.update(n=n, arcs=arcs)
+        pairs = tuple(sorted({(_vertex(a), -_vertex(b)) for a, b in arcs}))
+        for a, b in pairs:
+            if not (1 <= a < -b <= n):
+                raise PartitionError(f"arc {(a, -b)} out of range for n={n}")
+        self.__dict__.update(n=n, _pairs=pairs)
+
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        """The arcs as a frozenset of :class:`Arc`, built anew on each
+        access in O(A) for A arcs."""
+        return frozenset([_new_arc((a, -b)) for a, b in self._pairs])
 
     def __str__(self) -> str:
         return render_partition(self)
+
+    def _values(self) -> tuple:
+        return self.n, self._pairs
 
 
 def _vertex(v: object) -> int:
@@ -364,7 +376,7 @@ _second = itemgetter(1)
 _new_arc = partial(tuple.__new__, Arc)  # an Arc from a pair, at C speed
 
 
-def _block_text(n: int, arcs: list[tuple[int, int]]) -> str:
+def _block_text(n: int, arcs: Sequence[tuple[int, int]]) -> str:
     """Canonical text of the ascending (left, -right) pairs ``arcs`` on
     1..n: walking the vertices down, each takes its arcs off the end of
     the list, or is a singleton if it receives none."""
@@ -400,7 +412,7 @@ def render_partition(p: LinkedPartition) -> str:
     Each object renders once and keeps its text as ``_text``."""
     text = p.__dict__.get("_text")
     if text is None:
-        text = _block_text(p.n, sorted([(a, -b) for a, b in p.arcs]))
+        text = _block_text(p.n, p._pairs)
         p.__dict__["_text"] = text  # frozen: bypass __setattr__
     return text
 
@@ -421,14 +433,13 @@ def parse_partition(text: str) -> LinkedPartition:
     rejected here; that is :func:`validate_ncl`'s job.  The first error
     in text order is reported, at its offset.
     """
-    n, _, incoming = _read_blocks(text)
-    arcs = frozenset(map(_new_arc, zip(incoming.values(), incoming)))
-    return _unchecked(LinkedPartition, n=n, arcs=arcs)
+    n, pairs, _ = _read_blocks(text)
+    return _unchecked(LinkedPartition, n=n, _pairs=pairs)
 
 
-def _read_blocks(text: str) -> tuple[int, list[list[int]], dict[int, int]]:
-    """:func:`parse_partition`'s reading and checks: n, the blocks sorted
-    by minimum, each ascending, and {right: left} of every arc."""
+def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
+    """:func:`parse_partition`'s reading and checks: n, the arcs as
+    ascending (left, -right) pairs, and {right: left} of every arc."""
     stop = _BLOCK_TEXT.match(text).end()
     if stop < len(text) or not text.endswith("}"):
         raise _label_error(text, stop) or _syntax_error(text, stop)
@@ -459,14 +470,14 @@ def _read_blocks(text: str) -> tuple[int, list[list[int]], dict[int, int]]:
         ordered = list(map(tuple, blocks))
         first, second = _first_clash(ordered)
         raise NearlyDisjointViolation(ordered[first], ordered[second])
-    return n, blocks, incoming
+    # the blocks come by minimum, so their arcs ascend as they are made
+    pairs = tuple([(block[0], -v) for block in blocks for v in block[:0:-1]])
+    return n, pairs, incoming
 
 
-def _checked_text(text: str) -> tuple[int, list[tuple[int, int]], dict[int, int]]:
-    """n, then :func:`_checked_arcs`'s list and map, for block text: its
-    blocks come by minimum, so their arcs ascend as they are made."""
-    n, blocks, incoming = _read_blocks(text)
-    arcs = [(block[0], -v) for block in blocks for v in block[:0:-1]]
+def _checked_text(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
+    """n, then :func:`_checked_arcs`'s pairs and map, for block text."""
+    n, arcs, incoming = _read_blocks(text)
     _check_crossings(arcs)
     return n, arcs, incoming
 
@@ -561,23 +572,20 @@ def validate_ncl(p: LinkedPartition) -> LinkedPartition:
 
 def _checked_arcs(
     p: LinkedPartition,
-) -> tuple[list[tuple[int, int]], dict[int, int], list[int]]:
-    """:func:`validate_ncl`'s checks, returning the sorted (left, -right) arc
-    pairs, each vertex's longest first, {right: left} of every arc, and
-    each pair's nesting depth."""
-    incoming = {b: a for a, b in p.arcs}
-    if len(incoming) < len(p.arcs):
-        # name the first right end that repeats, in sorted arc order
-        rights = set()
-        for _, b in sorted(p.arcs):
-            if b in rights:
-                raise InDegree(b)
-            rights.add(b)
-    arcs = sorted([(a, -b) for a, b in p.arcs])
+) -> tuple[tuple[tuple[int, int], ...], dict[int, int], list[int]]:
+    """:func:`validate_ncl`'s checks, returning the ascending (left, -right)
+    arc pairs, {right: left} of every arc, and each pair's nesting depth."""
+    arcs = p._pairs
+    incoming = {-b: a for a, b in arcs}
+    if len(incoming) < len(arcs):
+        # name the first right end that repeats in sorted arc order: that
+        # of the least arc whose right end has an arc from further left
+        least = {-b: a for a, b in reversed(arcs)}
+        raise InDegree(min(arc for arc in p.arcs if arc.left > least[arc.right]).right)
     return arcs, incoming, _check_crossings(arcs)
 
 
-def _check_crossings(arcs: list[tuple[int, int]]) -> list[int]:
+def _check_crossings(arcs: Sequence[tuple[int, int]]) -> list[int]:
     """Raise on the first crossing of the ascending (left, -right) pairs;
     else return each pair's count of the arcs still open over it."""
     # sweep arcs by left endpoint, longest first: the arcs still open
@@ -647,7 +655,7 @@ def ascii_rows(obj: MotzkinPath | LinkedPartition) -> Iterator[str]:
     if isinstance(obj, MotzkinPath):
         return _path_rows(obj)
     if isinstance(obj, LinkedPartition):
-        arcs = sorted([(a, -b) for a, b in obj.arcs])
+        arcs = obj._pairs
         try:
             depths = _check_crossings(arcs)
         except CrossingArcs:  # only a caller's own arc set can cross
@@ -673,7 +681,7 @@ def _path_rows(path: MotzkinPath) -> Iterator[str]:
         yield row.rstrip().decode()
 
 
-def _containment_depths(n: int, arcs: list[tuple[int, int]]) -> list[int]:
+def _containment_depths(n: int, arcs: Sequence[tuple[int, int]]) -> list[int]:
     """Each of the ascending (left, -right) pairs' count of the arcs that
     contain it, crossing ones among them: the earlier pairs that end no
     sooner, counted by a Fenwick tree over right ends."""
@@ -694,7 +702,7 @@ def _containment_depths(n: int, arcs: list[tuple[int, int]]) -> list[int]:
 
 
 def _partition_rows(
-    n: int, arcs: list[tuple[int, int]], depths: list[int]
+    n: int, arcs: Sequence[tuple[int, int]], depths: list[int]
 ) -> Iterator[str]:
     """Arc diagram of the ascending (left, -right) pairs ``arcs`` on 1..n
     above a row of vertex labels: each arc gets the row of its nesting

@@ -399,12 +399,20 @@ class TestRender:
         assert code == 1 and "cross" in err
 
     @pytest.mark.parametrize(
-        "word", ["U" * 100 + "x" * 100, "Ucx" * 200], ids=["nested", "chain"]
+        "word,fmt",
+        [
+            ("U" * 100 + "x" * 100, "text"),
+            ("Ucx" * 200, "text"),
+            ("U" * 100 + "x" * 100, "jsonl"),
+            ("Ucx" * 200, "jsonl"),
+        ],
+        ids=["nested", "chain", "nested-jsonl", "chain-jsonl"],
     )
-    def test_sorts_and_sweeps_the_arcs_once(self, capsys, monkeypatch, word):
-        # the diagram is drawn from the pairs that validation sorted, at
-        # the depths its crossing sweep counted; the reader's one object
-        # is the only one built
+    def test_sorts_and_sweeps_the_arcs_once(self, capsys, monkeypatch, word, fmt):
+        # no arc list is sorted, not even once: the diagram is drawn from
+        # the pairs the reader stored, at the depths the validating sweep
+        # counted, and jsonl sweeps a second time inside render_ascii; the
+        # reader's one object is the only one built
         p = path_to_partition(word)
         text = render_partition(p)
         sorts, sweeps = [], []
@@ -423,14 +431,47 @@ class TestRender:
 
         monkeypatch.setattr(motzkin_ncl.structures, "_check_crossings", counting_sweep)
         built = watch_builds(monkeypatch)
-        code, out, err = run(capsys, "render", "--partition", text)
+        code, out, err = run(capsys, "render", "--partition", text, "--format", fmt)
         assert (code, err) == (0, "")
-        assert out == _grid_partition_art(p) + "\n"
-        # besides the reader's sort of each block's label set
-        assert [size for kind, size in sorts if kind is not set] == [len(p.arcs)]
+        art = _grid_partition_art(p)
+        assert (out if fmt == "text" else json.loads(out)["text"] + "\n") == art + "\n"
+        # only the reader's sort of each block's label set
+        assert [size for kind, size in sorts if kind is not set] == []
         assert sum(kind is set for kind, _ in sorts) == text.count("{")
-        assert sweeps == [len(p.arcs)]
+        assert sweeps == [len(p.arcs)] * (1 if fmt == "text" else 2)
         assert built == [LinkedPartition]
+
+
+# one argv per CLI way that meets a partition, on the image of a word
+# with every letter, a chain and a nest
+_WORD = "aUbUcyUcxxbUacy"
+_IMAGE = "{1,2}{2,10,11}{3,6}{4,5}{6,7,9}{7,8}{12,13,16}{14,15}"
+_PARTITION_WAYS = {
+    "phi": ("map", "--phi", _WORD),
+    "phi-inv": ("map", "--phi-inv", _IMAGE),
+    "render": ("render", "--partition", _IMAGE),
+    "render-jsonl": ("render", "--partition", _IMAGE, "--format", "jsonl"),
+    "enumerate": ("enumerate", "--family", "ncl", "--n", "6"),
+}
+
+
+class TestArcsView:
+    @pytest.mark.parametrize("argv", _PARTITION_WAYS.values(), ids=_PARTITION_WAYS)
+    def test_cli_reads_no_arcs_view(self, capsys, monkeypatch, argv):
+        # every CLI way reads a partition's stored pairs; the frozenset of
+        # Arc that the arcs view builds is for library callers
+        assert render_partition(path_to_partition(_WORD)) == _IMAGE
+        reads = []
+        view = LinkedPartition.arcs
+
+        def counted(p):
+            reads.append(p.n)
+            return view.fget(p)
+
+        monkeypatch.setattr(LinkedPartition, "arcs", property(counted))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert reads == []
 
 
 def _captured(*argv):

@@ -4,7 +4,8 @@ The generators, the doubling pair and the inverse bijection build their
 path objects without walking them, because their words are valid by
 construction.  Likewise the partition producers (the parser, the forward
 bijection and the partition generator) hand over arcs that are in range
-by construction, without normalising them; the partition cuts that the
+by construction, without normalising them, as the ascending (left, -right)
+pairs that a partition stores; the partition cuts that the
 inverse bijection reads build no partition, and hand over an index into
 a partition's own sorted arcs and vertex ranges.  Nothing downstream
 checks those objects again, so here every object is rebuilt through its
@@ -12,7 +13,11 @@ public, checking constructor, and every index and range a cut hands
 over is checked against its window.
 """
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motzkin_ncl import (
     Arc,
@@ -32,6 +37,8 @@ from motzkin_ncl import (
     render_partition,
 )
 from motzkin_ncl.decompose import outer_decompose, restrict_partition
+from test_bijection import large_words
+from test_structures import block_texts
 
 
 def assert_rebuilds(obj, cls, *args):
@@ -114,3 +121,57 @@ def test_forward_bijection_and_parser(n):
         q = path_to_partition(p)
         assert_partition_rebuilds(q)
         assert_partition_rebuilds(parse_partition(render_partition(q)))
+
+
+def assert_stored_alike(p, q):
+    # equal objects and hashes, each holding only n, its pairs and maybe
+    # its text, the pairs strictly ascending, plain and in range
+    assert p == q and hash(p) == hash(q)
+    for r in (p, q):
+        assert set(vars(r)) <= {"n", "_pairs", "_text"}
+        pairs = r._pairs
+        assert type(pairs) is tuple and {type(pair) for pair in pairs} <= {tuple}
+        assert all(1 <= a < -b <= r.n for a, b in pairs)
+        assert all(x < y for x, y in zip(pairs, pairs[1:]))
+
+
+def _shuffled(text, permute):
+    """Block text with its blocks, and the labels in each, reordered by
+    ``permute``, which returns a permutation of the list it is given."""
+    blocks = [permute(block.split(",")) for block in text[1:-1].split("}{")]
+    return "".join("{" + ",".join(block) + "}" for block in permute(blocks))
+
+
+def assert_producers_agree(word, permute):
+    p = path_to_partition(word)
+    assert_stored_alike(p, parse_partition(_shuffled(str(p), permute)))
+    assert_stored_alike(p, LinkedPartition(p.n, p.arcs))
+
+
+class TestCanonicalPairs:
+    # φ, the reader, the public constructor and the generator store the
+    # same (n, pairs) for the same partition, so they compare and hash alike
+    @given(large_words(max_len=40), st.data())
+    def test_large_words_up_to_length_40(self, word, data):
+        assert_producers_agree(word, lambda items: data.draw(st.permutations(items)))
+
+    @pytest.mark.parametrize("k", [1, 40, 300])
+    @pytest.mark.parametrize("shape", ["nest", "chain"])
+    def test_nests_and_chains(self, shape, k):
+        word = "U" * k + "x" * k if shape == "nest" else "Ucx" * k
+        rng = random.Random(k)
+        assert_producers_agree(word, lambda items: rng.sample(items, len(items)))
+
+    @given(block_texts())
+    def test_parsed_block_texts(self, text):
+        try:
+            p = parse_partition(text)
+        except ValueError:
+            return
+        assert_stored_alike(p, LinkedPartition(p.n, p.arcs))
+        assert_stored_alike(p, parse_partition(str(p)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_generated_partitions(self, n):
+        for q in gen_ncl(n):
+            assert_stored_alike(q, parse_partition(str(q)))
