@@ -52,7 +52,6 @@ from .decompose import (
     split_axis_l3,
 )
 from .structures import (
-    Arc,
     LargeMotzkinPath,
     LinkedPartition,
     _checked_arcs,
@@ -134,16 +133,16 @@ def classify_component(component: LinkedPartition) -> CaseTag:
     q = component.n - 1
     if q < 1:
         raise StructureError("a component spans at least two vertices")
-    arcs = component.arcs
+    arcs = component._pairs  # (left, -right)
     if q == 1:
-        return CaseTag.LEVEL1 if Arc(1, 2) in arcs else CaseTag.LEVEL2
-    if Arc(1, q + 1) not in arcs:
+        return CaseTag.LEVEL1 if (1, -2) in arcs else CaseTag.LEVEL2
+    if (1, -q - 1) not in arcs:
         raise StructureError("component lacks its outer arc")
-    if Arc(1, q) in arcs:
+    if (1, -q) in arcs:
         return CaseTag.UD1_PLAIN
     if arc_reachable(component, 1, q):
         return CaseTag.UD1_CHAIN
-    if not any(q in arc for arc in arcs):
+    if not any(q in (a, -b) for a, b in arcs):
         return CaseTag.UD2_PLAIN
     return CaseTag.UD2_CHAIN
 
@@ -153,7 +152,8 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         text = _path_text(*_checked_text(p))
     else:
-        text = _path_text(p.n, *_checked_arcs(p)[:2])
+        incoming, _ = _checked_arcs(p)
+        text = _path_text(p.n, p._pairs, incoming)
     return _unchecked(LargeMotzkinPath, text=text)
 
 

@@ -234,8 +234,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         obj = parse_partition(_object_text(args.partition))
         # validate_ncl's checks; the stored pairs and sweep depths draw it
-        arcs, depths = _checked_arcs(obj)[::2]
-        kind, n, rows = "partition", obj.n, _partition_rows(obj.n, arcs, depths)
+        _, depths = _checked_arcs(obj)
+        kind, n, rows = "partition", obj.n, _partition_rows(obj.n, obj._pairs, depths)
     if args.format == "jsonl":
         print(_jsonl(kind, n, render_ascii(obj)))
     else:

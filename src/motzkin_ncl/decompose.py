@@ -114,28 +114,33 @@ def outer_decompose(
     """Cut a valid partition on [lo, hi] at its uncovered vertices.
 
     ``arcs`` holds the partition's arcs sorted as (left, -right) pairs,
-    and ``i`` is :func:`restrict_partition`'s index for [lo, hi].  The
-    split points are the vertices lying strictly inside no arc within
-    [lo, hi] (lo and hi always qualify).  Each component is the closed
-    interval between two consecutive split points, returned as its first
-    and last vertex, so consecutive components share one vertex.  On
-    valid input a component ends where the longest arc from its first
-    vertex ends, or one vertex on if that vertex has no arc inside
-    [lo, hi], so the cut jumps from component to component with one
-    bisection each: O(c log A) for c components and A arcs.
+    and ``i`` is :func:`restrict_partition`'s index for [lo, hi], where
+    the first component starts.  The split points are the vertices lying
+    strictly inside no arc within [lo, hi] (lo and hi always qualify).
+    Each component is the closed interval between two consecutive split
+    points, returned as its first and last vertex, so consecutive
+    components share one vertex.  On valid input a component ends where
+    the longest arc from its first vertex ends, or one vertex on if that
+    vertex has no arc inside [lo, hi], so the cut jumps from component
+    to component with one bisection for each after the first:
+    O(c log A) for c components and A arcs.
 
     >>> arcs = [(1, -4), (1, -2), (2, -3)]  # {1,2,4}{2,3}
     >>> outer_decompose(arcs, restrict_partition(arcs, 1, 3), 1, 3)
     [(1, 2), (2, 3)]
     >>> outer_decompose(arcs, restrict_partition(arcs, 1, 4), 1, 4)
     [(1, 4)]
+    >>> all(outer_decompose(arcs, restrict_partition(arcs, v, v), v, v) == []
+    ...     for v in range(1, 5))  # a one-vertex range has no component
+    True
     """
     components = []
     while lo < hi:
-        i = bisect_left(arcs, (lo, -hi), i)
         end = -arcs[i][1] if i < len(arcs) and arcs[i][0] == lo else lo + 1
         components.append((lo, end))
         lo = end
+        if lo < hi:
+            i = bisect_left(arcs, (lo, -hi), i)
     return components
 
 
@@ -144,9 +149,9 @@ def arc_reachable(p: LinkedPartition, a: int, b: int) -> bool:
     if a == b:
         return True
     adjacency: dict[int, list[int]] = {}
-    for u, v in p.arcs:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
+    for u, v in p._pairs:  # v is minus the right end
+        adjacency.setdefault(u, []).append(-v)
+        adjacency.setdefault(-v, []).append(u)
     frontier = [a]
     seen = {a}
     while frontier:

@@ -408,13 +408,9 @@ def blocks_of(p: LinkedPartition) -> tuple[tuple[int, ...], ...]:
 
 
 def render_partition(p: LinkedPartition) -> str:
-    """Canonical text: blocks by increasing minimum, elements ascending.
-    Each object renders once and keeps its text as ``_text``."""
-    text = p.__dict__.get("_text")
-    if text is None:
-        text = _block_text(p.n, p._pairs)
-        p.__dict__["_text"] = text  # frozen: bypass __setattr__
-    return text
+    """Canonical text: blocks by increasing minimum, elements ascending;
+    the ``_text`` that :func:`gen_ncl` made an object with, else afresh."""
+    return p.__dict__.get("_text") or _block_text(p.n, p._pairs)
 
 
 # The longest prefix of a text that block text can begin with: whole
@@ -442,16 +438,16 @@ def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int,
     ascending (left, -right) pairs, and {right: left} of every arc."""
     stop = _BLOCK_TEXT.match(text).end()
     if stop < len(text) or not text.endswith("}"):
-        raise _label_error(text, stop) or _syntax_error(text, stop)
+        raise _text_error(text, stop)
     parts = text[1:-1].split("}{")
     try:
         blocks = [sorted({*map(int, part.split(","))}) for part in parts]
     except ValueError:  # past int()'s digit limit, kept against quadratic input
-        raise _label_error(text, stop) from None
+        raise _text_error(text, stop) from None
     written = text.count(",")  # the arcs as written: k labels in a block give k - 1
     minima = set(map(_first, blocks))
     if min(minima) < 1 or sum(map(len, blocks)) < written + len(blocks):
-        raise _label_error(text, stop)  # a label 0, or one repeated in its block
+        raise _text_error(text, stop)  # a label 0, or one repeated in its block
     incoming = {v: block[0] for block in blocks for v in block[1:]}
     vertices = minima.union(incoming)
     n = max(vertices)
@@ -467,9 +463,7 @@ def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int,
         or len(incoming) < written
         or not minima.difference(incoming.values()).isdisjoint(incoming)
     ):
-        ordered = list(map(tuple, blocks))
-        first, second = _first_clash(ordered)
-        raise NearlyDisjointViolation(ordered[first], ordered[second])
+        raise NearlyDisjointViolation(*_first_clash(list(map(tuple, blocks))))
     # the blocks come by minimum, so their arcs ascend as they are made
     pairs = tuple([(block[0], -v) for block in blocks for v in block[:0:-1]])
     return n, pairs, incoming
@@ -482,10 +476,11 @@ def _checked_text(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int
     return n, arcs, incoming
 
 
-def _label_error(text: str, stop: int) -> ParseError | None:
-    """The error of the first label in ``text[:stop]``, a run of whole
+def _text_error(text: str, stop: int) -> ParseError:
+    """The first error in ``text``, where block text stops matching at
+    ``stop``: that of the first label in ``text[:stop]``, a run of whole
     and open blocks, that is past int()'s digit limit, below 1, or
-    repeated in its block; None when every label there is good."""
+    repeated in its block; else the syntax error at ``stop``."""
     start = 0  # where the block's "{" is
     for part in text[:stop].split("{")[1:]:
         at, block = start + 1, set()
@@ -503,11 +498,6 @@ def _label_error(text: str, stop: int) -> ParseError | None:
                 block.add(label)
             at += len(digits) + 1
         start += len(part) + 1
-    return None
-
-
-def _syntax_error(text: str, stop: int) -> ParseError:
-    """The error at ``stop``, where block text stops matching ``text``."""
     after = text[stop - 1] if stop else "}"
     if after == "}":
         return ParseError("expected '{'", stop)
@@ -518,8 +508,8 @@ def _syntax_error(text: str, stop: int) -> ParseError:
     return ParseError("expected ',' or '}'", stop)
 
 
-def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[int, int]:
-    """Indices i < j of the first pair of ``ordered`` that the pairwise
+def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The first pair ``ordered[i], ordered[j]``, i < j, that the pairwise
     scan ``not _nearly_disjoint(ordered[i], ordered[j])`` would meet.
 
     Two blocks clash at a shared vertex unless it is the minimum of one,
@@ -550,7 +540,8 @@ def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[int, int]:
         first = next(clashes, None)
         if first is not None:
             firsts.append(first)
-    return min(firsts)
+    i, j = min(firsts)
+    return ordered[i], ordered[j]
 
 
 def _nearly_disjoint(block_a: tuple[int, ...], block_b: tuple[int, ...]) -> bool:
@@ -570,19 +561,17 @@ def validate_ncl(p: LinkedPartition) -> LinkedPartition:
     return p
 
 
-def _checked_arcs(
-    p: LinkedPartition,
-) -> tuple[tuple[tuple[int, int], ...], dict[int, int], list[int]]:
-    """:func:`validate_ncl`'s checks, returning the ascending (left, -right)
-    arc pairs, {right: left} of every arc, and each pair's nesting depth."""
+def _checked_arcs(p: LinkedPartition) -> tuple[dict[int, int], list[int]]:
+    """:func:`validate_ncl`'s checks of ``p._pairs``, returning {right: left}
+    of every arc and each pair's nesting depth."""
     arcs = p._pairs
     incoming = {-b: a for a, b in arcs}
     if len(incoming) < len(arcs):
         # name the first right end that repeats in sorted arc order: that
         # of the least arc whose right end has an arc from further left
-        least = {-b: a for a, b in reversed(arcs)}
-        raise InDegree(min(arc for arc in p.arcs if arc.left > least[arc.right]).right)
-    return arcs, incoming, _check_crossings(arcs)
+        least = {b: a for a, b in reversed(arcs)}
+        raise InDegree(min((a, -b) for a, b in arcs if a > least[b])[1])
+    return incoming, _check_crossings(arcs)
 
 
 def _check_crossings(arcs: Sequence[tuple[int, int]]) -> list[int]:

@@ -18,6 +18,7 @@ import motzkin_ncl.structures
 from motzkin_ncl import (
     Arc,
     CaseTag,
+    InDegree,
     LinkedPartition,
     StructureError,
     classify_component,
@@ -28,6 +29,7 @@ from motzkin_ncl import (
     path_to_partition,
     render_partition,
     validate_large,
+    validate_ncl,
 )
 from motzkin_ncl.bijection import _phi_arcs
 from motzkin_ncl.structures import (
@@ -731,22 +733,25 @@ class TestInverseOracle:
             assert partition_to_path(q).text == _partition_word(q), word
 
 
+# the README's worked partition, then one component of each chain case:
+# their words, and the tags the four-case inverse dispatched on
+CHAIN_CASES = pytest.mark.parametrize(
+    "partition,word,tags",
+    [
+        (
+            "{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}",
+            "UbxUbUxcUycy",
+            [CaseTag.UD1_PLAIN, CaseTag.UD2_CHAIN],
+        ),
+        ("{1,2,3,9}{3,5}{4}{5,6,7,8}", "UacbcUxx", [CaseTag.UD1_CHAIN]),
+        ("{1,9}{2}{3,4,5}{5,6,7,8}", "UbcacUxy", [CaseTag.UD2_CHAIN]),
+    ],
+    ids=["readme", "x-chain", "y-chain"],
+)
+
+
 class TestInverseWork:
-    # the README's worked partition, then one component of each chain case:
-    # their words, and the tags the four-case inverse dispatched on
-    @pytest.mark.parametrize(
-        "partition,word,tags",
-        [
-            (
-                "{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}",
-                "UbxUbUxcUycy",
-                [CaseTag.UD1_PLAIN, CaseTag.UD2_CHAIN],
-            ),
-            ("{1,2,3,9}{3,5}{4}{5,6,7,8}", "UacbcUxx", [CaseTag.UD1_CHAIN]),
-            ("{1,9}{2}{3,4,5}{5,6,7,8}", "UbcacUxy", [CaseTag.UD2_CHAIN]),
-        ],
-        ids=["readme", "x-chain", "y-chain"],
-    )
+    @CHAIN_CASES
     def test_reads_components_without_classifying(self, partition, word, tags, monkeypatch):
         q = parse_partition(partition)
         assert render_partition(path_to_partition(word)) == partition
@@ -796,7 +801,61 @@ class TestInverseWork:
         for name in ("restrict_partition", "outer_decompose"):
             monkeypatch.setattr(bijection, name, reading(getattr(bijection, name)))
         assert partition_to_path(q).text == word
-        assert work[0] <= 2 * len(q.arcs).bit_length() * len(word)
+        assert work[0] <= len(q.arcs).bit_length() * len(word)
+
+
+def _refuse_arcs_view(monkeypatch):
+    def refuse(p):
+        raise AssertionError("the library reads a partition's stored pairs")
+
+    monkeypatch.setattr(LinkedPartition, "arcs", property(refuse))
+
+
+class TestLibraryArcsView:
+    # the library twin of test_cli's TestArcsView: the frozenset of Arc
+    # that the arcs view builds is for callers, and no partition code of
+    # the library reads it
+    @pytest.mark.parametrize(
+        "word",
+        ["UbxUbUxcUycy", "U" * 300 + "x" * 300, "Ucx" * 300],
+        ids=["readme", "nest", "chain"],
+    )
+    def test_inverse_of_an_object(self, word, monkeypatch):
+        q = path_to_partition(word)
+        _refuse_arcs_view(monkeypatch)
+        assert partition_to_path(q).text == word
+
+    def test_validator_names_the_first_repeat_in_sorted_order(self, monkeypatch):
+        # every arc set on 5 vertices with a vertex of in-degree two, among
+        # them {(1,5),(2,4),(2,5),(3,4)}: 5 repeats first in sorted order,
+        # though 4 is the least vertex that repeats
+        pairs = [(a, b) for b in range(2, 6) for a in range(1, b)]
+        named = []
+        for mask in range(1 << len(pairs)):
+            arcs = sorted(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+            rights = [b for _, b in arcs]
+            repeats = [b for i, b in enumerate(rights) if b in rights[:i]]
+            if repeats:
+                named.append((LinkedPartition(5, arcs), repeats[0]))
+        assert (LinkedPartition(5, [(1, 5), (2, 4), (2, 5), (3, 4)]), 5) in named
+        _refuse_arcs_view(monkeypatch)
+        for p, vertex in named:
+            with pytest.raises(InDegree) as info:
+                validate_ncl(p)
+            assert info.value.vertex == vertex
+
+    @CHAIN_CASES
+    def test_classifies_components(self, partition, word, tags, monkeypatch):
+        components = outer_decompose(parse_partition(partition))
+        _refuse_arcs_view(monkeypatch)
+        assert [classify_component(c) for c in components] == tags
+
+    def test_arc_reachable(self, monkeypatch):
+        chain, nest = parse_partition("{1,2}{2,3}"), parse_partition("{1,4}{2,3}")
+        _refuse_arcs_view(monkeypatch)
+        reachable = motzkin_ncl.decompose.arc_reachable
+        assert reachable(chain, 3, 1) and reachable(nest, 1, 4)
+        assert not reachable(nest, 1, 3)
 
 
 class TestExhaustive:

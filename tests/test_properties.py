@@ -1,6 +1,6 @@
 """Randomized properties over feasible words and arc sets."""
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +8,7 @@ from motzkin_ncl import (
     LinkedPartition,
     blocks_of,
     double,
+    gen_large,
     parse_partition,
     partition_to_path,
     path_to_partition,
@@ -17,7 +18,13 @@ from motzkin_ncl import (
     validate_ncl,
     validate_ncl_blockwise,
 )
-from motzkin_ncl.decompose import component_ends, factor_components, split_axis_l3
+from motzkin_ncl.decompose import (
+    component_ends,
+    factor_components,
+    outer_decompose,
+    restrict_partition,
+    split_axis_l3,
+)
 
 DELTA = {"U": 1, "a": 0, "b": 0, "c": 0, "x": -1, "y": -1}
 
@@ -88,6 +95,38 @@ class TestArcCount:
     def test_one_arc_per_u_a_c_x_step(self, word):
         arcs = path_to_partition(word).arcs
         assert len(arcs) == sum(map(word.count, "Uacx"))
+
+
+def uncovered_vertices(p):
+    """How many vertices of ``p`` lie strictly inside no arc, by a
+    difference array over the stored pairs."""
+    cover = [0] * (p.n + 2)
+    for a, b in p._pairs:  # b is minus the right end
+        cover[a + 1] += 1
+        cover[-b] -= 1
+    return list(accumulate(cover[1 : p.n + 1])).count(0)
+
+
+class TestUncoveredVertices:
+    # the vertices of φ(w) under no arc are vertex 1 and one per step of w
+    # that ends on the axis; the outer decomposition cuts at them
+    @staticmethod
+    def check(word):
+        p = path_to_partition(word)
+        returns = list(accumulate(DELTA[ch] for ch in word)).count(0)
+        assert uncovered_vertices(p) == returns + 1, word
+        arcs = p._pairs
+        cut = outer_decompose(arcs, restrict_partition(arcs, 1, p.n), 1, p.n)
+        assert len(cut) == returns, word
+
+    def test_every_word_up_to_length_7(self):
+        for n in range(8):
+            for path in gen_large(n):
+                self.check(path.text)
+
+    @given(motzkin_words(max_len=60))
+    def test_large_words(self, word):
+        self.check(word)
 
 
 def components(text):

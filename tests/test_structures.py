@@ -827,9 +827,21 @@ class TestBlockOracle:
         assert render_partition(p) == "{1,3,4}{2,3}"
         assert blocks_of(p) == ((1, 3, 4), (2, 3))
 
-    def test_text_is_kept(self):
-        p = LinkedPartition(3, [(1, 3)])
-        assert render_partition(p) is render_partition(p) == "{1,3}{2}"
+    def test_rendering_writes_nothing(self):
+        # a built value renders without a cache written into it, however
+        # it was made; gen_ncl's objects carry the text they were made with
+        for p in (
+            LinkedPartition(3, [(1, 3)]),
+            parse_partition("{1,3}{2}"),
+            path_to_partition("Uy"),
+        ):
+            fields = dict(vars(p))
+            assert render_partition(p) == "{1,3}{2}"
+            assert vars(p) == fields
+        for q in gen_ncl(5):
+            fields = dict(vars(q))
+            assert render_partition(q) is fields["_text"]
+            assert vars(q) == fields
 
     @given(any_arc_sets())
     def test_in_degree_names_the_first_repeat_in_sorted_order(self, p):
