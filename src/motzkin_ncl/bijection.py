@@ -152,8 +152,7 @@ def partition_to_path(p: LinkedPartition | str) -> LargeMotzkinPath:
     if isinstance(p, str):
         text = _path_text(*_checked_text(p))
     else:
-        incoming, _ = _checked_arcs(p)
-        text = _path_text(p.n, p._pairs, incoming)
+        text = _path_text(p.n, p._pairs, _checked_arcs(p))
     return _unchecked(LargeMotzkinPath, text=text)
 
 

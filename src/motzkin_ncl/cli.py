@@ -39,7 +39,7 @@ from .enumerate import gen_large, gen_motzkin32, gen_ncl, gen_schroder
 from .structures import (
     LinkedPartition,
     _block_text,
-    _checked_arcs,
+    _check_crossings,
     _checked_text,
     _partition_rows,
     ascii_rows,
@@ -233,8 +233,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         kind, n, rows = "path", len(obj), ascii_rows(obj)
     else:
         obj = parse_partition(_object_text(args.partition))
-        # validate_ncl's checks; the stored pairs and sweep depths draw it
-        _, depths = _checked_arcs(obj)
+        # the reader refused a second in-arc: only the sweep is left to run
+        depths = _check_crossings(obj._pairs)
         kind, n, rows = "partition", obj.n, _partition_rows(obj.n, obj._pairs, depths)
     if args.format == "jsonl":
         print(_jsonl(kind, n, render_ascii(obj)))

@@ -127,18 +127,22 @@ class CrossingArcs(PartitionError):
         self.second = second
 
 
+def _set_text(block: Iterable[int]) -> str:  # as {a, b, ...}, ascending
+    return "{%s}" % ", ".join(map(str, sorted({*block})))
+
+
 class NearlyDisjointViolation(PartitionError):
     def __init__(self, block_a: tuple[int, ...], block_b: tuple[int, ...]):
-        super().__init__(
-            f"blocks {set(block_a)} and {set(block_b)} are not nearly disjoint"
-        )
+        a, b = _set_text(block_a), _set_text(block_b)
+        super().__init__(f"blocks {a} and {b} are not nearly disjoint")
         self.block_a = block_a
         self.block_b = block_b
 
 
 class BlockCrossing(PartitionError):
     def __init__(self, block_a: tuple[int, ...], block_b: tuple[int, ...]):
-        super().__init__(f"blocks {set(block_a)} and {set(block_b)} cross")
+        a, b = _set_text(block_a), _set_text(block_b)
+        super().__init__(f"blocks {a} and {b} cross")
         self.block_a = block_a
         self.block_b = block_b
 
@@ -417,6 +421,7 @@ def render_partition(p: LinkedPartition) -> str:
 # blocks, then at most one open block.  A text is block text when this
 # matches all of it and it ends by closing a block.
 _BLOCK_TEXT = re.compile(r"(?:\{[0-9]+(?:,[0-9]+)*\})*(?:\{(?:[0-9]+,)*[0-9]*)?")
+_LABEL = r"([{,])([0-9]+)"  # a label after its "{" or ","; compiled on an error
 
 
 def parse_partition(text: str) -> LinkedPartition:
@@ -470,7 +475,7 @@ def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int,
 
 
 def _checked_text(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
-    """n, then :func:`_checked_arcs`'s pairs and map, for block text."""
+    """:func:`_read_blocks`'s n, pairs and map, once no two arcs cross."""
     n, arcs, incoming = _read_blocks(text)
     _check_crossings(arcs)
     return n, arcs, incoming
@@ -481,23 +486,20 @@ def _text_error(text: str, stop: int) -> ParseError:
     ``stop``: that of the first label in ``text[:stop]``, a run of whole
     and open blocks, that is past int()'s digit limit, below 1, or
     repeated in its block; else the syntax error at ``stop``."""
-    start = 0  # where the block's "{" is
-    for part in text[:stop].split("{")[1:]:
-        at, block = start + 1, set()
-        for digits in part.removesuffix("}").split(","):
-            if digits:  # an open block may end in "{" or ","
-                try:
-                    label = int(digits)
-                except ValueError:
-                    limit = sys.get_int_max_str_digits()
-                    return ParseError(f"vertex label has more than {limit} digits", at)
-                if label < 1:
-                    return ParseError("vertex labels start at 1", at)
-                if label in block:
-                    return ParseError(f"duplicate label {label} in block", at)
-                block.add(label)
-            at += len(digits) + 1
-        start += len(part) + 1
+    for match in re.finditer(_LABEL, text[:stop]):  # the first opens a block
+        if match[1] == "{":
+            block = set()
+        at = match.start(2)
+        try:
+            label = int(match[2])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            return ParseError(f"vertex label has more than {limit} digits", at)
+        if label < 1:
+            return ParseError("vertex labels start at 1", at)
+        if label in block:
+            return ParseError(f"duplicate label {label} in block", at)
+        block.add(label)
     after = text[stop - 1] if stop else "}"
     if after == "}":
         return ParseError("expected '{'", stop)
@@ -513,33 +515,24 @@ def _first_clash(ordered: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     scan ``not _nearly_disjoint(ordered[i], ordered[j])`` would meet.
 
     Two blocks clash at a shared vertex unless it is the minimum of one,
-    that one not a singleton, and a non-minimum of the other.  A vertex's
-    own scan stops within O(holders) pairs: past a passing (h0, h1), each
-    (h0, hj) passes only while hj has h1's role, and (h1, h2) clashes.
+    that one not a singleton, and a non-minimum of the other.  So of the
+    blocks h0 < h1 < ... that hold a vertex, the first to clash there are
+    h0 and the first hj that does not so pair with h0, else h1 and h2.
     """
     holders: dict[int, list[int]] = {}
     for idx, block in enumerate(ordered):
         for v in block:
             holders.setdefault(v, []).append(idx)
-
-    def role(idx: int, v: int) -> str:
-        block = ordered[idx]
-        if block[0] != v:
-            return "inner"
-        return "min" if len(block) > 1 else "singleton"
-
     firsts = []
     for v, idxs in holders.items():
-        roles = [role(idx, v) for idx in idxs]
-        clashes = (
-            (idxs[k], idxs[j])
-            for k in range(len(idxs))
-            for j in range(k + 1, len(idxs))
-            if {roles[k], roles[j]} != {"min", "inner"}
-        )
-        first = next(clashes, None)
-        if first is not None:
-            firsts.append(first)
+        # 1 for the minimum of a non-singleton, 0 for a non-minimum and 2
+        # for a singleton: two holders pair exactly when theirs sum to 1
+        r0, *roles = [(ordered[i][0] == v) + (len(ordered[i]) == 1) for i in idxs]
+        j = next((j for j, r in enumerate(roles, 1) if r0 + r != 1), None)
+        if j is not None:
+            firsts.append((idxs[0], idxs[j]))
+        elif len(idxs) > 2:  # the later holders share a role
+            firsts.append((idxs[1], idxs[2]))
     i, j = min(firsts)
     return ordered[i], ordered[j]
 
@@ -561,9 +554,9 @@ def validate_ncl(p: LinkedPartition) -> LinkedPartition:
     return p
 
 
-def _checked_arcs(p: LinkedPartition) -> tuple[dict[int, int], list[int]]:
+def _checked_arcs(p: LinkedPartition) -> dict[int, int]:
     """:func:`validate_ncl`'s checks of ``p._pairs``, returning {right: left}
-    of every arc and each pair's nesting depth."""
+    of every arc."""
     arcs = p._pairs
     incoming = {-b: a for a, b in arcs}
     if len(incoming) < len(arcs):
@@ -571,7 +564,8 @@ def _checked_arcs(p: LinkedPartition) -> tuple[dict[int, int], list[int]]:
         # of the least arc whose right end has an arc from further left
         least = {b: a for a, b in reversed(arcs)}
         raise InDegree(min((a, -b) for a, b in arcs if a > least[b])[1])
-    return incoming, _check_crossings(arcs)
+    _check_crossings(arcs)
+    return incoming
 
 
 def _check_crossings(arcs: Sequence[tuple[int, int]]) -> list[int]:

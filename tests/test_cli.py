@@ -8,7 +8,7 @@ from decimal import Decimal
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import motzkin_ncl.enumerate
 import motzkin_ncl.structures
@@ -27,7 +27,7 @@ from motzkin_ncl import (
 )
 from motzkin_ncl.cli import main
 from motzkin_ncl.counting import IdentityCheck, IdentityReport
-from test_bijection import watch_builds
+from test_bijection import large_words, watch_builds
 from test_structures import _grid_partition_art, block_texts
 
 
@@ -273,6 +273,12 @@ class TestMap:
         code, _, err = run(capsys, "map", "--phi-inv", "{1,3}{2,4}")
         assert code == 1 and "cross" in err
 
+    def test_clashing_blocks_print_ascending(self, capsys):
+        # 8 sits before 1 in a two-element set, which once printed {8, 1}
+        code, out, err = run(capsys, "map", "--phi-inv", "{1,2}{1,8}{3}{4}{5}{6}{7}")
+        assert (code, out) == (1, "")
+        assert err == "blocks {1, 2} and {1, 8} are not nearly disjoint\n"
+
     def test_exactly_one_direction_required(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["map", "Ux"])
@@ -429,7 +435,8 @@ class TestRender:
             sweeps.append(len(arcs))
             return sweep(arcs)
 
-        monkeypatch.setattr(motzkin_ncl.structures, "_check_crossings", counting_sweep)
+        for module in (motzkin_ncl.structures, cli):
+            monkeypatch.setattr(module, "_check_crossings", counting_sweep)
         built = watch_builds(monkeypatch)
         code, out, err = run(capsys, "render", "--partition", text, "--format", fmt)
         assert (code, err) == (0, "")
@@ -681,6 +688,75 @@ def _verify_rows(out: str) -> dict[str, list[str]]:
         for line in out.splitlines()
         if not line.startswith("counterexample")
     }
+
+
+# what an option's value may be instead of a good one
+_JUNK = st.sampled_from(["", "-", "-1", "x", "1e3", "٣", "0x10", "--n", "\x00"])
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for one of the five subcommands and the stdin it reads.
+    Option values come from their choices or small numbers, and one time
+    in five are junk; objects are words, near-words and block texts,
+    given as the argument or, through ``-`` or no argument, on stdin."""
+
+    def value(good):
+        return draw(_JUNK if draw(st.integers(0, 4)) == 0 else good)
+
+    small = st.integers(-2, 5).map(str)
+    word = large_words(max_len=12) | st.text("Uabcxy?\r", max_size=8)
+    thing = word | block_texts()
+    command = draw(st.sampled_from(["count", "enumerate", "map", "render", "verify"]))
+    if command == "count":
+        argv = ["--seq", value(st.sampled_from("mLSsf")), "--upto", value(small)]
+    elif command == "enumerate":
+        argv = ["--family", value(st.sampled_from(cli.FAMILIES)), "--n", value(small)]
+        argv += draw(st.sampled_from([[], ["--limit", "3"], ["--format", "jsonl"]]))
+    elif command == "map":
+        argv = draw(
+            st.sampled_from(
+                [["--phi"], ["--phi-inv"], ["--double", "0"], ["--double", "1"]]
+                + [["--project"], ["--double", "2"], ["--phi", "--project"], []]
+            )
+        )
+        argv += draw(st.lists(thing, max_size=1))
+    elif command == "render":
+        what = draw(st.sampled_from(["--path", "--partition"]))
+        argv = [what, draw(thing | st.just("-"))]
+        argv += draw(st.sampled_from([[], ["--format", "jsonl"], ["--format", "x"]]))
+    else:
+        argv = ["--max-n", value(st.integers(-1, 2).map(str))]
+        argv += ["--identities", value(small)]
+    stdin = "\n".join(draw(st.lists(thing, max_size=3)))
+    return [command, *argv], stdin
+
+
+class TestNoTraceback:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_calls())
+    def test_generated_calls_fail_in_one_line(self, call):
+        # exit 0 says nothing on stderr, a refused input says one line and
+        # a usage error ends in argparse's own; no call shows a traceback
+        argv, stdin = call
+        out, err = io.StringIO(), io.StringIO()
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            sys.stdin = saved
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+        elif code == 1:
+            assert len(err.splitlines()) <= 1 and err.endswith("\n")
+        else:
+            assert ": error: " in err.splitlines()[-1]
 
 
 class TestSharedParser:
