@@ -13,7 +13,8 @@ Exit codes: 0 on success, 1 on domain errors or failed verification,
 in every later call of the process (``build_parser`` still returns a new
 one).  ``enumerate --limit`` skips the guard's count, so it builds no
 counting table.  ``map`` builds no partition, reads stdin a line at a
-time and prefixes an error with ``line N:``.
+time, prefixes an error with ``line N:`` and, for ``--phi-inv``, reads
+each distinct block text of the stream once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .doubling import double, project
 from .enumerate import gen_large, gen_motzkin32, gen_ncl, gen_schroder
 from .structures import (
     LinkedPartition,
+    _BlockMemo,
     _block_text,
     _check_crossings,
     _checked_text,
@@ -201,7 +203,9 @@ def _map_transform(args: argparse.Namespace) -> Callable[[str], str]:
             len(line) + 1, _phi_arcs(validate_large(line).text)
         )
     if args.phi_inv:
-        return lambda line: _path_text(*_checked_text(line))
+        # a stream repeats its blocks, where one object repeats few
+        memo = _BlockMemo() if args.object is None else None
+        return lambda line: _path_text(*_checked_text(line, memo))
     if args.double is not None:
         bit = args.double
         return lambda line: double(line, bit).text

@@ -42,11 +42,12 @@ A partition's text lists its blocks, such as ``{1,3,4}{2}``.
 :func:`_read_blocks` checks the grammar with one compiled pattern, reads
 the labels with ``str.split`` and ``int``, and runs every other check on
 the int lists; the character offset of an error is found only once there
-is one.  Its blocks come by minimum, so their arcs, each block's read
-from its largest label down, are (left, -right) pairs in ascending
-order: a partition's stored form, which the crossing sweep, φ⁻¹ and the
-diagram take unsorted, and which the one renderer, :func:`_block_text`,
-writes back as canonical text.
+is one.  Given the :class:`_BlockMemo` that ``map --phi-inv`` makes for
+a stream, it reads each distinct block text once.  Its blocks come by
+minimum, so their arcs, each block's read from its largest label down,
+are (left, -right) pairs in ascending order: a partition's stored form,
+which the crossing sweep, φ⁻¹ and the diagram take unsorted, and which
+the one renderer, :func:`_block_text`, writes back as canonical text.
 """
 
 from __future__ import annotations
@@ -438,7 +439,23 @@ def parse_partition(text: str) -> LinkedPartition:
     return _unchecked(LinkedPartition, n=n, _pairs=pairs)
 
 
-def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
+class _BlockMemo(dict):
+    """Block text -> its labels, distinct and ascending; emptied past 2^18 chars."""
+
+    chars = 0
+
+    def __missing__(self, part: str) -> tuple[int, ...]:
+        if self.chars >= 1 << 18:
+            self.clear()
+            self.chars = 0
+        labels = self[part] = tuple(sorted({*map(int, part.split(","))}))
+        self.chars += len(part)
+        return labels
+
+
+def _read_blocks(
+    text: str, memo: _BlockMemo | None = None
+) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
     """:func:`parse_partition`'s reading and checks: n, the arcs as
     ascending (left, -right) pairs, and {right: left} of every arc."""
     stop = _BLOCK_TEXT.match(text).end()
@@ -446,7 +463,10 @@ def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int,
         raise _text_error(text, stop)
     parts = text[1:-1].split("}{")
     try:
-        blocks = [sorted({*map(int, part.split(","))}) for part in parts]
+        if memo is None:
+            blocks = [sorted({*map(int, part.split(","))}) for part in parts]
+        else:
+            blocks = list(map(memo.__getitem__, parts))
     except ValueError:  # past int()'s digit limit, kept against quadratic input
         raise _text_error(text, stop) from None
     written = text.count(",")  # the arcs as written: k labels in a block give k - 1
@@ -474,9 +494,11 @@ def _read_blocks(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int,
     return n, pairs, incoming
 
 
-def _checked_text(text: str) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
+def _checked_text(
+    text: str, memo: _BlockMemo | None = None
+) -> tuple[int, tuple[tuple[int, int], ...], dict[int, int]]:
     """:func:`_read_blocks`'s n, pairs and map, once no two arcs cross."""
-    n, arcs, incoming = _read_blocks(text)
+    n, arcs, incoming = _read_blocks(text, memo)
     _check_crossings(arcs)
     return n, arcs, incoming
 

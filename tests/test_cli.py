@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -19,15 +20,18 @@ from motzkin_ncl import (
     gen_ncl,
     large_motzkin_numbers,
     parse_partition,
+    partition_to_path,
     path_to_partition,
     render_partition,
     schroder_numbers,
     validate_large,
     validate_ncl,
 )
+from motzkin_ncl.bijection import _path_text
 from motzkin_ncl.cli import main
 from motzkin_ncl.counting import IdentityCheck, IdentityReport
-from test_bijection import large_words, watch_builds
+from motzkin_ncl.structures import _BlockMemo, _checked_text, _read_blocks
+from test_bijection import _large_word, large_words, watch_builds
 from test_structures import _grid_partition_art, block_texts
 
 
@@ -374,6 +378,159 @@ class TestMap:
             sys.set_int_max_str_digits(limit)
         assert (code, out) == (1, "\n")
         assert err == "line 2: vertex label has more than 4300 digits (offset 3)\n"
+
+
+def count_block_reads(monkeypatch) -> list[str]:
+    """Watch every :class:`_BlockMemo` and return the list of the block
+    texts that the memos read, that is, their misses, from here on."""
+    read = []
+    missing = _BlockMemo.__missing__
+
+    def counting(self, part):
+        read.append(part)
+        return missing(self, part)
+
+    monkeypatch.setattr(_BlockMemo, "__missing__", counting)
+    return read
+
+
+def _answers(texts) -> str:
+    """φ⁻¹ of each text, read without a memo, one line each."""
+    return "".join(_path_text(*_checked_text(t)) + "\n" for t in texts)
+
+
+class TestMapStreamMemo:
+    """A ``map --phi-inv`` stream reads each distinct block text once."""
+
+    def test_stream_reads_each_distinct_block_once(self, capsys, monkeypatch):
+        texts = [render_partition(q) for q in gen_ncl(8)]
+        distinct = {part for t in texts for part in t[1:-1].split("}{")}
+        assert (len(texts), len(distinct)) == (8558, 255)
+        stream = "".join(t + "\n" for t in texts)
+        want = _answers(texts)
+        read = count_block_reads(monkeypatch)
+        # a second call reads every block again: no memo outlives its call
+        for call in (1, 2):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+            assert run(capsys, "map", "--phi-inv") == (0, want, "")
+            assert len(read) == 255 * call and set(read[-255:]) == distinct
+
+    def test_only_a_stream_builds_a_memo(self, capsys, monkeypatch):
+        made = []
+        init = _BlockMemo.__init__
+
+        def counting(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_BlockMemo, "__init__", counting)
+        text = "{1,3,4}{2}{4,13}{5,6,7}{8,10,11}{9}{11,12}"
+        assert run(capsys, "map", "--phi-inv", text) == (0, "UbxUbUxcUycy\n", "")
+        assert run(capsys, "render", "--partition", text)[0] == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+        assert run(capsys, "render", "--partition", "-")[0] == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO("UbxUbUxcUycy\n"))
+        assert run(capsys, "map", "--phi") == (0, text + "\n", "")
+        assert partition_to_path(parse_partition(text)).text == "UbxUbUxcUycy"
+        assert made == []
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+        assert run(capsys, "map", "--phi-inv") == (0, "UbxUbUxcUycy\n", "")
+        assert len(made) == 1
+
+    def test_shuffled_and_padded_texts_read_as_without_a_memo(self, capsys, monkeypatch):
+        # every partition of up to 7 vertices, its blocks and labels
+        # shuffled and one label in five zero-padded, so that one block
+        # reaches the memo under several texts
+        rng = random.Random(33)
+        texts = []
+        for n in range(1, 8):
+            for q in gen_ncl(n):
+                blocks = [b.split(",") for b in render_partition(q)[1:-1].split("}{")]
+                rng.shuffle(blocks)
+                for block in blocks:
+                    rng.shuffle(block)
+                    block[:] = ["0" * (rng.random() < 0.2) + v for v in block]
+                texts.append("".join("{%s}" % ",".join(b) for b in blocks))
+        assert len(texts) == sum(large_motzkin_numbers(6))
+        read = count_block_reads(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in texts)))
+        assert run(capsys, "map", "--phi-inv") == (0, _answers(texts), "")
+        parts = [part for t in texts for part in t[1:-1].split("}{")]
+        assert sorted(read) == sorted(set(parts)) and len(read) < len(parts) / 4
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "{1,3}{2}{0,4}",
+            "{1,3}{2}{4,5,04}",
+            "{1,3}{2}{4,%s}" % ("1" * 5000),
+            "{1,3}{2}{5}",
+            "{1,3}{2}{1,4}",
+            "{1,3}{2,4}",
+        ],
+        ids=["label-0", "repeated-label", "5000-digits", "missing", "clash", "crossing"],
+    )
+    def test_bad_line_after_its_blocks_is_named_as_without_a_memo(
+        self, capsys, monkeypatch, bad
+    ):
+        # the lines before hold every block of the bad line but at most
+        # its last, and the line after is never read
+        good = ["{1,3}{2}{4}", "{1}{2,4}{3}"]
+        lines = "".join(t + "\n" for t in [*good, bad, *good])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            if limit:
+                sys.set_int_max_str_digits(4300)
+            with pytest.raises(ValueError) as info:
+                _checked_text(bad)
+            got = run(capsys, "map", "--phi-inv")
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert got == (1, _answers(good), f"line 3: {info.value}\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="int() has no digit limit before Python 3.11",
+    )
+    def test_a_block_whose_read_raised_is_not_stored(self):
+        memo = _BlockMemo()
+        long_block = "4," + "1" * 5000
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="more than 4300 digits"):
+                    _read_blocks("{1,3}{2}{%s}" % long_block, memo)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert memo == {"1,3": (1, 3), "2": (2,)} and memo.chars == 4
+
+    def test_memo_starts_over_past_its_budget(self, capsys, monkeypatch):
+        # the images of 300 random words of length 2000 hold 3.7 times the
+        # budget in distinct block text (those of length 500 hold 0.8 times)
+        budget = 1 << 18
+        rng = random.Random(33)
+        words = [_large_word(rng.choice, 2000) for _ in range(300)]
+        images = [render_partition(path_to_partition(w)) for w in words]
+        parts = {part for t in images for part in t[1:-1].split("}{")}
+        assert sum(map(len, parts)) > 3 * budget
+        held = []
+        read_blocks = motzkin_ncl.structures._read_blocks
+
+        def measured(text, memo=None):
+            answer = read_blocks(text, memo)
+            chars = sum(map(len, memo))
+            assert chars == memo.chars and chars <= budget + len(text)
+            held.append(chars)
+            return answer
+
+        monkeypatch.setattr(motzkin_ncl.structures, "_read_blocks", measured)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in images)))
+        assert run(capsys, "map", "--phi-inv") == (0, "".join(w + "\n" for w in words), "")
+        assert len(held) == 300 and max(held) > budget / 2
+        assert sum(b < a for a, b in zip(held, held[1:])) >= 3  # started over
 
 
 class TestRender:
