@@ -14,7 +14,10 @@ vertex v at index v - 1 + h: the rule the forward map lays its arcs out
 by, where the step at index t, at height h, starts at vertex t + 1 - h.
 It neither recurses nor builds a partition, and reads any depth in
 O(n log n).  Each map builds only its result, in range by construction,
-so it skips the public constructor's checks.
+so it skips the public constructor's checks.  On a ``map --phi``
+stream, :func:`_phi_text` writes the block text one top-level component
+at a time, through a memo keyed by the component's word and first
+index, so each distinct pair is built once.
 
 Forward direction, on arcs (min B, v), one per non-minimal element v of
 a block B.  A word's arcs are its components' arcs laid end to end,
@@ -54,6 +57,8 @@ from .decompose import (
 from .structures import (
     LargeMotzkinPath,
     LinkedPartition,
+    _BlockMemo,
+    _block_text,
     _checked_arcs,
     _checked_text,
     _unchecked,
@@ -95,6 +100,30 @@ def _phi_arcs(word: str) -> list[tuple[int, int]]:
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
     return pairs
+
+
+def _phi_text(word: str, memo: _BlockMemo) -> str:
+    """The block text of the valid large word's image, each top-level
+    component's blocks taken from ``memo`` by (component, first index)."""
+    ends = component_ends(word)
+    texts = []
+    try:
+        for a, b in factor_components(ends, 0, len(word)):
+            key = word[a:b], a
+            text = memo.get(key)
+            if text is None:
+                arcs: list[tuple[int, int]] = []
+                _component_arcs(word, ends, a, b, 0, arcs)
+                text = _block_text(b, arcs, a + 1)
+                memo.keep(key, text, b - a + len(text))
+            # a b's vertex is a singleton unless an arc ends there
+            if word[a] != "b" or word[a - 1 : a] in ("", "b"):
+                texts.append(text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+    if word[-1:] in ("", "b"):  # n + 1 receives no arc
+        texts.append("{%d}" % (len(word) + 1))
+    return "".join(texts)
 
 
 def _word_arcs(

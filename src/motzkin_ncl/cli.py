@@ -13,8 +13,9 @@ Exit codes: 0 on success, 1 on domain errors or failed verification,
 in every later call of the process (``build_parser`` still returns a new
 one).  ``enumerate --limit`` skips the guard's count, so it builds no
 counting table.  ``map`` builds no partition, reads stdin a line at a
-time, prefixes an error with ``line N:`` and, for ``--phi-inv``, reads
-each distinct block text of the stream once.
+time, prefixes an error with ``line N:`` and, on stdin, builds each
+distinct top-level component's blocks (``--phi``) or reads each distinct
+block text (``--phi-inv``) once per call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from contextlib import contextmanager, suppress
 from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterator, NamedTuple
 
-from .bijection import _path_text, _phi_arcs, path_to_partition, partition_to_path
+from .bijection import (
+    _path_text,
+    _phi_arcs,
+    _phi_text,
+    path_to_partition,
+    partition_to_path,
+)
 from .counting import (
     large_motzkin_numbers,
     motzkin32_numbers,
@@ -198,12 +205,15 @@ def _jsonl(kind: str, n: int, text: str) -> str:
 
 
 def _map_transform(args: argparse.Namespace) -> Callable[[str], str]:
+    # a stream repeats its components and blocks, where one object repeats few
+    if args.phi and args.object is None:
+        memo = _BlockMemo()
+        return lambda line: _phi_text(validate_large(line).text, memo)
     if args.phi:
         return lambda line: _block_text(
             len(line) + 1, _phi_arcs(validate_large(line).text)
         )
     if args.phi_inv:
-        # a stream repeats its blocks, where one object repeats few
         memo = _BlockMemo() if args.object is None else None
         return lambda line: _path_text(*_checked_text(line, memo))
     if args.double is not None:

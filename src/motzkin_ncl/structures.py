@@ -381,14 +381,15 @@ _second = itemgetter(1)
 _new_arc = partial(tuple.__new__, Arc)  # an Arc from a pair, at C speed
 
 
-def _block_text(n: int, arcs: Sequence[tuple[int, int]]) -> str:
-    """Canonical text of the ascending (left, -right) pairs ``arcs`` on
-    1..n: walking the vertices down, each takes its arcs off the end of
-    the list, or is a singleton if it receives none."""
+def _block_text(n: int, arcs: Sequence[tuple[int, int]], first: int = 1) -> str:
+    """Canonical text of the blocks whose minimum lies in first..n, where
+    every arc of the ascending (left, -right) pairs ``arcs`` leaves:
+    walking those vertices down, each takes its arcs off the end of the
+    list, or is a singleton if it receives none."""
     receivers = set(map(_second, arcs))  # right ends, negated
     blocks = []
     i = len(arcs)
-    for v in range(n, 0, -1):
+    for v in range(n, first - 1, -1):
         j = i
         while i and arcs[i - 1][0] == v:
             i -= 1
@@ -439,18 +440,29 @@ def parse_partition(text: str) -> LinkedPartition:
     return _unchecked(LinkedPartition, n=n, _pairs=pairs)
 
 
+_ENTRY = 150  # about the bytes of an entry's dict slot and objects past its characters
+
+
 class _BlockMemo(dict):
-    """Block text -> its labels, distinct and ascending; emptied past 2^18 chars."""
+    """A memo that starts over on the next miss once its entries'
+    characters, plus ``_ENTRY`` for each entry, reach 2^18.  ``map --phi``
+    stores (component, first index) -> block text through :meth:`keep`;
+    ``map --phi-inv`` reads block text -> its labels, distinct and
+    ascending, as a missing key."""
 
     chars = 0
 
-    def __missing__(self, part: str) -> tuple[int, ...]:
-        if self.chars >= 1 << 18:
+    def keep(self, key: object, value: object, chars: int) -> object:
+        """Store ``value`` under ``key``, of ``chars`` characters together."""
+        if self.chars + _ENTRY * len(self) >= 1 << 18:
             self.clear()
             self.chars = 0
-        labels = self[part] = tuple(sorted({*map(int, part.split(","))}))
-        self.chars += len(part)
-        return labels
+        self[key] = value
+        self.chars += chars
+        return value
+
+    def __missing__(self, part: str) -> tuple[int, ...]:
+        return self.keep(part, tuple(sorted({*map(int, part.split(","))})), len(part))
 
 
 def _read_blocks(

@@ -338,6 +338,36 @@ def _first_failing(limit: int) -> int:
     return int(proc.stdout)
 
 
+# the first k at which `map --phi` of U^k x^k fails with the default
+# recursion limit, run as ``python -m motzkin_ncl``: (as an argument, as a
+# stdin line).  A stdin line goes through the component memo, which calls
+# the component recursion straight away, one or two frames sooner, so it
+# can read one level more (README's depth table)
+FIRST_FAILING_K = {
+    (3, 10): (330, 331),
+    (3, 11): (331, 331),
+    (3, 12): (496, 497),
+    (3, 13): (496, 497),
+}
+
+
+def _map_phi_fails(k: int, stdin: bool) -> bool:
+    src = str(Path(motzkin_ncl.bijection.__file__).resolve().parents[1])
+    word = "U" * k + "x" * k
+    argv = [sys.executable, "-m", "motzkin_ncl", "map", "--phi"]
+    proc = subprocess.run(
+        argv if stdin else [*argv, word],
+        input=word + "\n" if stdin else "",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    if proc.returncode == 0:
+        return False
+    assert proc.stderr == "line 1: " * stdin + TOO_DEEP + "\n", proc.stderr
+    return True
+
+
 class TestDepth:
     # φ recurses once per nesting level; past the recursion limit it raises
     # a ValueError of its own, not the RecursionError.  φ⁻¹ works on an
@@ -372,6 +402,15 @@ class TestDepth:
         low, high = _first_failing(400), _first_failing(700)
         expected = 2 if sys.version_info >= (3, 12) else 3
         assert 300 / (high - low) == expected
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] not in FIRST_FAILING_K,
+        reason="measured on Python 3.10 to 3.13 only",
+    )
+    @pytest.mark.parametrize("stdin", [False, True], ids=["argument", "stdin"])
+    def test_first_failing_k_of_each_way_in(self, stdin):
+        k = FIRST_FAILING_K[sys.version_info[:2]][stdin]
+        assert not _map_phi_fails(k - 1, stdin) and _map_phi_fails(k, stdin)
 
 
 class TestClassify:

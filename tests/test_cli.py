@@ -6,6 +6,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -27,11 +28,19 @@ from motzkin_ncl import (
     validate_large,
     validate_ncl,
 )
-from motzkin_ncl.bijection import _path_text
+from motzkin_ncl.bijection import _path_text, _phi_arcs
 from motzkin_ncl.cli import main
 from motzkin_ncl.counting import IdentityCheck, IdentityReport
-from motzkin_ncl.structures import _BlockMemo, _checked_text, _read_blocks
-from test_bijection import _large_word, large_words, watch_builds
+from motzkin_ncl.decompose import component_ends, factor_components
+from motzkin_ncl.structures import (
+    _ENTRY,
+    _BlockMemo,
+    _block_text,
+    _checked_text,
+    _read_blocks,
+)
+from test_bijection import TOO_DEEP, _large_word, large_words, watch_builds
+from test_properties import uncovered_vertices
 from test_structures import _grid_partition_art, block_texts
 
 
@@ -429,13 +438,15 @@ class TestMapStreamMemo:
         assert run(capsys, "render", "--partition", text)[0] == 0
         monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
         assert run(capsys, "render", "--partition", "-")[0] == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO("UbxUbUxcUycy\n"))
-        assert run(capsys, "map", "--phi") == (0, text + "\n", "")
+        assert run(capsys, "map", "--phi", "UbxUbUxcUycy") == (0, text + "\n", "")
+        assert render_partition(path_to_partition("UbxUbUxcUycy")) == text
         assert partition_to_path(parse_partition(text)).text == "UbxUbUxcUycy"
         assert made == []
         monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
         assert run(capsys, "map", "--phi-inv") == (0, "UbxUbUxcUycy\n", "")
-        assert len(made) == 1
+        monkeypatch.setattr(sys, "stdin", io.StringIO("UbxUbUxcUycy\n"))
+        assert run(capsys, "map", "--phi") == (0, text + "\n", "")
+        assert len(made) == 2
 
     def test_shuffled_and_padded_texts_read_as_without_a_memo(self, capsys, monkeypatch):
         # every partition of up to 7 vertices, its blocks and labels
@@ -522,8 +533,10 @@ class TestMapStreamMemo:
         def measured(text, memo=None):
             answer = read_blocks(text, memo)
             chars = sum(map(len, memo))
-            assert chars == memo.chars and chars <= budget + len(text)
-            held.append(chars)
+            held.append(chars + _ENTRY * len(memo))
+            # past the budget only by the blocks of this line
+            assert chars == memo.chars
+            assert held[-1] <= budget + len(text) + _ENTRY * text.count("{")
             return answer
 
         monkeypatch.setattr(motzkin_ncl.structures, "_read_blocks", measured)
@@ -531,6 +544,197 @@ class TestMapStreamMemo:
         assert run(capsys, "map", "--phi-inv") == (0, "".join(w + "\n" for w in words), "")
         assert len(held) == 300 and max(held) > budget / 2
         assert sum(b < a for a, b in zip(held, held[1:])) >= 3  # started over
+
+
+def count_component_keeps(monkeypatch) -> list:
+    """Watch every :class:`_BlockMemo` and return the list of the keys
+    that the memos store, that is, a ``map --phi`` stream's misses, from
+    here on; a key stored while the memo holds it fails the test."""
+    stored = []
+    keep = _BlockMemo.keep
+
+    def counting(self, key, value, chars):
+        assert key not in self, key
+        stored.append(key)
+        return keep(self, key, value, chars)
+
+    monkeypatch.setattr(_BlockMemo, "keep", counting)
+    return stored
+
+
+def component_keys(words) -> set:
+    """The (component, first index) pairs of the words' top-level components."""
+    return {
+        (w[a:b], a)
+        for w in words
+        for a, b in factor_components(component_ends(w), 0, len(w))
+    }
+
+
+def component_text(component: str, a: int) -> str:
+    """The blocks of the component's image when it starts at index a, cut
+    out of the argument-mode text of ``b^a component``."""
+    n = a + len(component) + 1
+    full = _block_text(n, _phi_arcs("b" * a + component))
+    head = "".join("{%d}" % v for v in range(1, a + 1))
+    tail = "{%d}" % n if component == "b" else ""
+    assert full.startswith(head) and full.endswith(tail)
+    return full[len(head) : len(full) - len(tail)]
+
+
+def feed_stdin(monkeypatch, lines) -> None:
+    """Make stdin the lines, each ended by "\\n"."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in lines)))
+
+
+def _phi_lines(words) -> str:
+    """φ of each word in argument mode's way, one line each."""
+    return "".join(_block_text(len(w) + 1, _phi_arcs(w)) + "\n" for w in words)
+
+
+class TestMapPhiStreamMemo:
+    """A ``map --phi`` stream builds each top-level component's blocks once
+    for each vertex it starts at."""
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        return {n: [p.text for p in gen_large(n)] for n in range(9)}
+
+    def test_stream_prints_what_argument_mode_prints(self, capsys, monkeypatch, words):
+        every = [w for n in range(9) for w in words[n]]
+        assert len(every) == sum(large_motzkin_numbers(8))
+        feed_stdin(monkeypatch, every)
+        assert run(capsys, "map", "--phi") == (0, _phi_lines(every), "")
+        for i in range(0, len(every), 1000):
+            batch = every[i : i + 1000]
+            feed_stdin(monkeypatch, batch)
+            assert run(capsys, "map", "--phi") == (0, _phi_lines(batch), "")
+
+    def test_misses_each_key_once_between_restarts(self, capsys, monkeypatch, words):
+        stored = count_component_keeps(monkeypatch)
+        # one call each; a second call misses every key again, so no memo
+        # outlives its call.  The memo starts over, so a key can miss again
+        # once it was emptied: 3,651 misses for 3,008 keys at n = 7
+        for n, keys, misses in ((7, 3008, 3651), (7, 3008, 3651), (8, 13888, 18346)):
+            stored.clear()
+            feed_stdin(monkeypatch, words[n])
+            assert run(capsys, "map", "--phi")[0] == 0
+            assert set(stored) == component_keys(words[n])
+            assert (len(set(stored)), len(stored)) == (keys, misses)
+        # in 1000-line batches, as pipeline-n7 runs it, each batch fits
+        stored.clear()
+        want = 0
+        for i in range(0, len(words[7]), 1000):
+            batch = words[7][i : i + 1000]
+            want += len(component_keys(batch))
+            feed_stdin(monkeypatch, batch)
+            assert run(capsys, "map", "--phi")[0] == 0
+        assert len(stored) == want == 4281
+
+    def test_join_rules(self, capsys, monkeypatch):
+        # a b after a, x or y prints nothing, for its vertex receives an
+        # arc; n + 1 prints when the word is empty or ends in b.  Each b
+        # is first stored by a line that skips it
+        pinned = {
+            "": "{1}",
+            "ab": "{1,2}{3}",
+            "bb": "{1}{2}{3}",
+            "ba": "{1}{2,3}",
+            "Uxb": "{1,2,3}{4}",
+            "Uyb": "{1,3}{2}{4}",
+            "bUxb": "{1}{2,3,4}{5}",
+            "aUxbb": "{1,2}{2,3,4}{5}{6}",
+        }
+        assert _phi_lines(pinned) == "".join(t + "\n" for t in pinned.values())
+        stored = count_component_keeps(monkeypatch)
+        feed_stdin(monkeypatch, pinned)
+        assert run(capsys, "map", "--phi") == (0, _phi_lines(pinned), "")
+        assert stored[:3] == [("a", 0), ("b", 1), ("b", 0)]
+        assert len(stored) == len(component_keys(pinned)) == 10
+
+    def test_memo_starts_over_past_its_budget(self, capsys, monkeypatch):
+        # the images of 60 random words of length 2000 hold about 3 times
+        # the budget in component and block text
+        budget = 1 << 18
+        rng = random.Random(34)
+        words = [_large_word(rng.choice, 2000) for _ in range(60)]
+        held = []
+        phi_text = cli._phi_text
+
+        def measured(word, memo):
+            answer = phi_text(word, memo)
+            chars = sum(len(key[0]) + len(text) for key, text in memo.items())
+            held.append(chars + _ENTRY * len(memo))
+            # past the budget only by the components of this line
+            pieces = len(factor_components(component_ends(word), 0, len(word)))
+            assert chars == memo.chars
+            assert held[-1] <= budget + len(word) + len(answer) + _ENTRY * pieces
+            return answer
+
+        monkeypatch.setattr(cli, "_phi_text", measured)
+        feed_stdin(monkeypatch, words)
+        assert run(capsys, "map", "--phi") == (0, _phi_lines(words), "")
+        assert len(held) == 60 and max(held) > budget / 2
+        assert sum(b < a for a, b in zip(held, held[1:])) >= 2  # started over
+
+    def test_too_deep_line_leaves_no_partial_entry(self, capsys, monkeypatch):
+        made = []
+        init = _BlockMemo.__init__
+
+        def counting(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_BlockMemo, "__init__", counting)
+        deep = "U" * 2000 + "x" * 2000
+        lines = ["ab", "Uxb", "b" + deep, "ba"]
+        feed_stdin(monkeypatch, lines)
+        got = run(capsys, "map", "--phi")
+        assert got == (1, _phi_lines(lines[:2]), f"line 3: {TOO_DEEP}\n")
+        (memo,) = made
+        assert ("b", 0) in memo and (deep, 1) not in memo
+        assert all(text == component_text(*key) for key, text in memo.items())
+
+
+def _block_word(rng: random.Random, length: int, block: int = 64) -> str:
+    """A large word made of walks of at most ``block`` steps, each back on
+    the axis, up steps weighted double: the way large-objects builds its
+    random paths, so φ stays far from its depth limit at any length."""
+    out = []
+    while length > 0:
+        piece = min(block, length)
+        length -= piece
+        h = 0
+        for left in range(piece, 0, -1):
+            options = "UU" * (h + 1 <= left - 1) + ("abc" if h else "ab") * (h < left)
+            out.append(rng.choice(options + "xy" * (h > 0)))
+            h += {"U": 1, "x": -1, "y": -1}.get(out[-1], 0)
+    return "".join(out)
+
+
+class TestLargeObjectParity:
+    # ROADMAP item 12 at 10^3-10^4 steps, with no table: the stream and
+    # argument mode print the same text, which has one arc per U, a, c
+    # and x step and one uncovered vertex per return to the axis, plus 1,
+    # and φ⁻¹ reads it back
+    def test_seeded_words(self, capsys, monkeypatch):
+        rng = random.Random(12)
+        words = [_block_word(rng, round(10 ** rng.uniform(3, 4))) for _ in range(16)]
+        assert 16_000 < sum(map(len, words)) < 160_000
+        feed_stdin(monkeypatch, words)
+        code, out, _ = run(capsys, "map", "--phi")
+        texts = out.splitlines()
+        assert code == 0 and len(texts) == len(words)
+        for word, text in zip(words, texts):
+            assert run(capsys, "map", "--phi", word) == (0, text + "\n", "")
+            p = parse_partition(text)
+            assert p.n == len(word) + 1
+            assert len(p._pairs) == sum(map(word.count, "Uacx"))
+            heights = accumulate({"U": 1, "x": -1, "y": -1}.get(ch, 0) for ch in word)
+            assert uncovered_vertices(p) == list(heights).count(0) + 1
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        want = "".join(w + "\n" for w in words)
+        assert run(capsys, "map", "--phi-inv") == (0, want, "")
 
 
 class TestRender:
